@@ -67,7 +67,7 @@ void BM_Crc32(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(4096);
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(65536);
 
 void BM_Ed25519Keygen(benchmark::State& state) {
   std::array<std::uint8_t, 32> seed{};

@@ -14,7 +14,10 @@ gate fails (exit 1) on:
     mean exceeds the BASE-matching entries' mean,
   * (with --max-ns NAME NANOS) NAME-matching entries whose mean real_time
     exceeds NANOS nanoseconds — the absolute hot-path overhead gate
-    (bench_obs: a metrics-registry record must stay under 50 ns).
+    (bench_obs: a metrics-registry record must stay under 50 ns). A NAME
+    ending in "$" must match the end of the entry name, so
+    "BM_Ed25519Verify$" selects that series alone, not
+    BM_Ed25519VerifyBatch.
 
 So a bench that bit-rots into producing garbage — or a CI step whose filter
 matches nothing — fails the push instead of silently uploading junk.
@@ -169,7 +172,11 @@ def main() -> None:
         for entry in benchmarks:
             if entry.get("run_type") == "aggregate":
                 continue
-            if name_substr not in entry.get("name", ""):
+            name = entry.get("name", "")
+            if name_substr.endswith("$"):
+                if not name.endswith(name_substr[:-1]):
+                    continue
+            elif name_substr not in name:
                 continue
             unit = entry.get("time_unit", "ns")
             if unit not in to_ns:

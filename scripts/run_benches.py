@@ -50,10 +50,20 @@ class Bench:
 # the absolute hot-path budget (see check_bench.py for semantics, including
 # which comparisons self-skip on hosts that cannot run the TEST series).
 BENCHES: List[Bench] = [
-    # No JSON: a pure does-it-still-run smoke of the signature hot loop.
+    # The per-block kernels: ed25519 sign and verify and the WAL/checkpoint
+    # CRC must stay within about 3x of the windowed/slicing-by-8 figures
+    # (verify ~70 us, sign ~20 us, CRC32 of 64 KiB ~40 us on a 4-core Xeon
+    # VM), so a slide back to bit-serial kernels (~530 us, ~545 us and
+    # ~215 us there) fails the push. The batch series stay pinned too.
     Bench(name="micro_crypto", binary="bench_micro_crypto",
-          filter="Ed25519VerifyBatch|Ed25519VerifySingleLoop",
-          min_time="0.05", json=False),
+          filter="Ed25519VerifyBatch|Ed25519VerifySingleLoop|"
+                 "^BM_Ed25519Verify$|^BM_Ed25519Sign$|^BM_Crc32/65536$",
+          min_time="0.05",
+          gate=("--expect", "BM_Ed25519VerifyBatch",
+                "--expect", "BM_Ed25519VerifySingleLoop",
+                "--max-ns", "BM_Ed25519Verify$", "200000",
+                "--max-ns", "BM_Ed25519Sign", "60000",
+                "--max-ns", "BM_Crc32/65536", "125000")),
 
     Bench(name="mempool", binary="bench_mempool",
           filter="BM_MempoolSubmit/shards:(1|8).*threads:8", min_time="0.05",

@@ -53,8 +53,26 @@ BlockRef read_ref(serde::Reader& r) {
 
 }  // namespace
 
+std::size_t checkpoint_record_capacity(std::size_t decided, std::size_t delivered,
+                                       std::span<const BlockPtr> blocks,
+                                       std::size_t app_bytes) {
+  constexpr std::size_t kVarint = 10;  // the longest LEB128 u64
+  constexpr std::size_t kSlot = kVarint + 4;
+  constexpr std::size_t kRef = kVarint + 4 + sizeof(Digest);
+  // Frame header, magic, version, up to three u64 sequences, the author and
+  // up to four slots or varints (a delta's horizon, two heads and proposer
+  // round); then the four list and length prefixes and the app digest.
+  constexpr std::size_t kFixed = 8 + 4 + 1 + 3 * 8 + 4 + 4 * kSlot + 4 * kVarint + sizeof(Digest);
+  std::size_t size = kFixed + decided * (kSlot + 4 + 2 + kRef) +
+                     delivered * (sizeof(Digest) + kVarint) + app_bytes;
+  for (const BlockPtr& block : blocks) size += kVarint + block->encoded_size();
+  return size;
+}
+
 Bytes encode_checkpoint(const CheckpointData& data) {
-  serde::Writer w;
+  serde::Writer w(checkpoint_record_capacity(data.decided.size(), data.delivered.size(),
+                                             data.blocks, data.app_state.size()));
+  wal_begin_record(w);
   w.u32(kCheckpointMagic);
   w.u8(kCheckpointVersion);
   w.u64(data.sequence);
@@ -80,14 +98,14 @@ Bytes encode_checkpoint(const CheckpointData& data) {
 
   w.varint(data.blocks.size());
   for (const BlockPtr& block : data.blocks) {
-    const Bytes encoded = block->serialize();
-    w.bytes({encoded.data(), encoded.size()});
+    w.varint(block->encoded_size());
+    block->serialize_into(w);
   }
 
   w.bytes({data.app_state.data(), data.app_state.size()});
   w.digest(data.app_digest);
 
-  return wal_frame_record({w.data().data(), w.data().size()});
+  return wal_finish_record(std::move(w));
 }
 
 CheckpointData decode_checkpoint(BytesView encoded) {

@@ -24,8 +24,10 @@
 // falls back to the previous one.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,6 +77,14 @@ struct CheckpointData {
 // (torn file, CRC failure, malformed payload).
 Bytes encode_checkpoint(const CheckpointData& data);
 CheckpointData decode_checkpoint(BytesView encoded);
+
+// An upper bound on the framed size of a base or delta record with these
+// contents, so its encoder allocates the buffer once. A base record carries
+// megabytes of blocks and application state and is kept for serving peers;
+// a buffer grown by doubling would keep up to twice that.
+std::size_t checkpoint_record_capacity(std::size_t decided, std::size_t delivered,
+                                       std::span<const BlockPtr> blocks,
+                                       std::size_t app_bytes);
 
 // Semantic checks beyond the CRC, run before installing a checkpoint that
 // came off the wire: block shape + (per `validation`) batched coin/signature

@@ -79,7 +79,10 @@ std::vector<CheckpointData::DecidedSlot> read_decided(serde::Reader& r) {
 }  // namespace
 
 Bytes encode_checkpoint_delta(const CheckpointDelta& delta) {
-  serde::Writer w;
+  serde::Writer w(checkpoint_record_capacity(delta.decided_suffix.size(),
+                                             delta.delivered.size(), delta.blocks_added,
+                                             delta.app_delta.size()));
+  wal_begin_record(w);
   w.u32(kDeltaMagic);
   w.u8(kDeltaVersion);
   w.u64(delta.sequence);
@@ -101,14 +104,14 @@ Bytes encode_checkpoint_delta(const CheckpointDelta& delta) {
 
   w.varint(delta.blocks_added.size());
   for (const BlockPtr& block : delta.blocks_added) {
-    const Bytes encoded = block->serialize();
-    w.bytes({encoded.data(), encoded.size()});
+    w.varint(block->encoded_size());
+    block->serialize_into(w);
   }
 
   w.bytes({delta.app_delta.data(), delta.app_delta.size()});
   w.digest(delta.app_digest);
 
-  return wal_frame_record({w.data().data(), w.data().size()});
+  return wal_finish_record(std::move(w));
 }
 
 CheckpointDelta decode_checkpoint_delta(BytesView encoded) {

@@ -10,12 +10,10 @@ namespace mahimahi::crypto {
 
 namespace {
 
-using curve::ge_add;
-using curve::ge_base;
 using curve::ge_compress;
 using curve::ge_decompress;
-using curve::ge_neg;
-using curve::ge_scalar_mult;
+using curve::ge_scalar_mult_base;
+using curve::GroupElement;
 using curve::Scalar;
 using curve::sc_from_bytes32;
 using curve::sc_from_bytes32_strict;
@@ -23,60 +21,43 @@ using curve::sc_from_bytes64;
 using curve::sc_mul_add;
 using curve::sc_to_bytes;
 
-struct ExpandedKey {
-  std::uint8_t scalar[32];  // clamped a
-  std::uint8_t prefix[32];
-};
-
-ExpandedKey expand_seed(const std::array<std::uint8_t, 32>& seed) {
-  const auto h = Sha512::hash({seed.data(), seed.size()});
-  ExpandedKey out;
-  std::memcpy(out.scalar, h.data(), 32);
-  std::memcpy(out.prefix, h.data() + 32, 32);
-  out.scalar[0] &= 0xf8;
-  out.scalar[31] &= 0x7f;
-  out.scalar[31] |= 0x40;
-  return out;
-}
-
 }  // namespace
 
+Ed25519PrivateKey::Ed25519PrivateKey(const std::array<std::uint8_t, 32>& seed)
+    : seed_(seed) {
+  const auto h = Sha512::hash({seed.data(), seed.size()});
+  std::copy(h.begin(), h.begin() + 32, scalar_.begin());
+  std::copy(h.begin() + 32, h.end(), prefix_.begin());
+  scalar_[0] &= 0xf8;
+  scalar_[31] &= 0x7f;
+  scalar_[31] |= 0x40;
+  // [a]B = [a mod L]B: B has order L.
+  ge_compress(public_key_.bytes.data(), ge_scalar_mult_base(sc_from_bytes32(scalar_.data())));
+}
+
 Ed25519Keypair ed25519_keypair_from_seed(const std::array<std::uint8_t, 32>& seed) {
-  const ExpandedKey key = expand_seed(seed);
-  const auto a_point = ge_scalar_mult(key.scalar, ge_base());
-  Ed25519Keypair out;
-  out.private_key.seed = seed;
-  ge_compress(out.public_key.bytes.data(), a_point);
-  return out;
+  const Ed25519PrivateKey key(seed);
+  return Ed25519Keypair{key, key.public_key()};
 }
 
 Ed25519Signature ed25519_sign(const Ed25519PrivateKey& key, BytesView message) {
-  const ExpandedKey expanded = expand_seed(key.seed);
-  const auto a_point = ge_scalar_mult(expanded.scalar, ge_base());
-  std::uint8_t pub[32];
-  ge_compress(pub, a_point);
-
   Sha512 h1;
-  h1.update({expanded.prefix, 32});
+  h1.update({key.prefix_.data(), key.prefix_.size()});
   h1.update(message);
   const auto r_hash = h1.finish();
   const Scalar r = sc_from_bytes64(r_hash.data());
 
-  std::uint8_t r_scalar[32];
-  sc_to_bytes(r_scalar, r);
-  const auto r_point = ge_scalar_mult(r_scalar, ge_base());
-
   Ed25519Signature sig;
-  ge_compress(sig.bytes.data(), r_point);
+  ge_compress(sig.bytes.data(), ge_scalar_mult_base(r));
 
   Sha512 h2;
   h2.update({sig.bytes.data(), 32});
-  h2.update({pub, 32});
+  h2.update({key.public_key_.bytes.data(), key.public_key_.bytes.size()});
   h2.update(message);
   const auto k_hash = h2.finish();
   const Scalar k = sc_from_bytes64(k_hash.data());
 
-  const Scalar a = sc_from_bytes32(expanded.scalar);
+  const Scalar a = sc_from_bytes32(key.scalar_.data());
   const Scalar s = sc_mul_add(k, a, r);
   sc_to_bytes(sig.bytes.data() + 32, s);
   return sig;
@@ -116,20 +97,15 @@ bool ed25519_verify(const Ed25519PublicKey& key, BytesView message,
   // instead of flipping the batch verdict with the parity of a random
   // coefficient. A consensus protocol needs every honest validator to reach
   // the same verdict regardless of how its driver happened to batch.
-  std::uint8_t s_bytes[32], k_bytes[32];
-  sc_to_bytes(s_bytes, *s);
-  sc_to_bytes(k_bytes, k);
-
-  const auto sb = ge_scalar_mult(s_bytes, ge_base());
-  const auto ka = ge_scalar_mult(k_bytes, ge_neg(*a_point));
-  const auto difference = curve::ge_sub(ge_add(sb, ka), *r_point);
+  // [s]B - [k]A comes from one joint pass over both scalars' window digits.
+  const GroupElement neg_a = curve::ge_neg(*a_point);
+  const GroupElement sb_minus_ka = curve::ge_multiscalar_mult({&k, 1}, {&neg_a, 1}, *s);
+  const auto difference = curve::ge_sub(sb_minus_ka, *r_point);
   return curve::ge_is_identity(curve::ge_mul_cofactor(difference));
 }
 
 namespace {
 
-using curve::ge_identity;
-using curve::GroupElement;
 using curve::sc_zero;
 
 // Derives the batch coefficients z_1..z_{n-1} (z_0 is fixed to 1) by hashing
@@ -187,8 +163,12 @@ bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items) {
   std::vector<KeyTerm> key_terms;
   key_terms.reserve(items.size());
 
-  Scalar b_coefficient = sc_zero();     // sum z_i s_i
-  GroupElement r_sum = ge_identity();   // sum [z_i] R_i
+  // One multi-scalar pass: sum [z_i] R_i + sum_A [c_A] A - [sum z_i s_i] B.
+  std::vector<Scalar> scalars;
+  std::vector<GroupElement> points;
+  scalars.reserve(2 * items.size());
+  points.reserve(2 * items.size());
+  Scalar b_coefficient = sc_zero();  // sum z_i s_i
 
   for (std::size_t i = 0; i < items.size(); ++i) {
     const auto& item = items[i];
@@ -215,20 +195,18 @@ bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items) {
     const Scalar k = challenge_scalar(item.signature, item.key, item.message);
     b_coefficient = sc_mul_add(z[i], *s, b_coefficient);
     term->coefficient = sc_mul_add(z[i], k, term->coefficient);
-
-    std::uint8_t z_bytes[32];
-    sc_to_bytes(z_bytes, z[i]);
-    r_sum = ge_add(r_sum, ge_scalar_mult(z_bytes, *r_point));
+    scalars.push_back(z[i]);
+    points.push_back(*r_point);
   }
 
-  GroupElement rhs = r_sum;
   for (const auto& term : key_terms) {
-    rhs = ge_add(rhs, ge_scalar_mult(term.coefficient, term.point));
+    scalars.push_back(term.coefficient);
+    points.push_back(term.point);
   }
-  const GroupElement lhs = ge_scalar_mult(b_coefficient, ge_base());
+  const GroupElement difference =
+      curve::ge_multiscalar_mult(scalars, points, curve::sc_neg(b_coefficient));
   // Cofactored, like ed25519_verify: torsion components never decide the
   // verdict, so batch and single verification agree deterministically.
-  const GroupElement difference = curve::ge_sub(lhs, rhs);
   return curve::ge_is_identity(curve::ge_mul_cofactor(difference));
 }
 

@@ -876,10 +876,9 @@ NodeRuntime::IoPlaneReport NodeRuntime::io_plane_report() const {
 }
 
 Bytes NodeRuntime::encode_block(const Block& block) const {
-  serde::Writer w;
+  serde::Writer w(1 + block.encoded_size());
   w.u8(static_cast<std::uint8_t>(MessageType::kBlock));
-  const Bytes encoded = block.serialize();
-  w.raw({encoded.data(), encoded.size()});
+  block.serialize_into(w);
   return std::move(w).take();
 }
 

@@ -148,7 +148,8 @@ struct SimConfig {
   // rounds by block building, signing, serialization and batching costs on
   // top of quorum arrival; a pure-logic simulation without this floor runs
   // rounds at raw link speed, which starves the farthest region's blocks of
-  // votes at wave length 4 (see EXPERIMENTS.md). 120ms approximates the
+  // votes at wave length 4 (compare the paper reference points in
+  // bench/bench_fig3_ideal.cpp's header). 120ms approximates the
   // paper's observed round cadence at moderate load (their 10-node MM-5
   // latency of ~1.1s implies ~200ms effective rounds; we sit on the faster
   // side while giving the farthest region enough slack to be voted for).

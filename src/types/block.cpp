@@ -48,8 +48,7 @@ std::uint64_t Block::wire_bytes() const {
   return total;
 }
 
-Bytes Block::content_bytes() const {
-  serde::Writer w(256 + batches_.size() * 32 + parents_.size() * 48);
+void Block::write_content(serde::Writer& w) const {
   w.raw(as_bytes_view(kDigestDomain));
   w.u32(author_);
   w.varint(round_);
@@ -63,20 +62,24 @@ Bytes Block::content_bytes() const {
   w.digest(coin_share_);
   w.varint(batches_.size());
   for (const auto& batch : batches_) batch.serialize(w);
-  return std::move(w).take();
 }
 
 void Block::finalize_digest() {
-  const Bytes content = content_bytes();
-  digest_ = crypto::Blake2b::hash256({content.data(), content.size()});
+  serde::Writer content(256 + batches_.size() * 32 + parents_.size() * 48);
+  write_content(content);
+  digest_ = crypto::Blake2b::hash256({content.data().data(), content.size()});
+  encoded_size_ = content.size() + signature_.bytes.size();
 }
 
 Bytes Block::serialize() const {
-  serde::Writer w;
-  const Bytes content = content_bytes();
-  w.raw({content.data(), content.size()});
-  w.raw({signature_.bytes.data(), signature_.bytes.size()});
+  serde::Writer w(encoded_size_);
+  serialize_into(w);
   return std::move(w).take();
+}
+
+void Block::serialize_into(serde::Writer& w) const {
+  write_content(w);
+  w.raw({signature_.bytes.data(), signature_.bytes.size()});
 }
 
 Block Block::deserialize(BytesView data) {

@@ -60,6 +60,10 @@ class Block {
   // content; it performs structural decoding only (no semantic validation —
   // see types/validation.h).
   Bytes serialize() const;
+  // Appends exactly serialize()'s bytes to `w` — encoded_size() of them —
+  // so framed records can embed a block without an intermediate buffer.
+  void serialize_into(serde::Writer& w) const;
+  std::size_t encoded_size() const { return encoded_size_; }
   static Block deserialize(BytesView data);
 
   bool operator==(const Block& other) const { return digest_ == other.digest_; }
@@ -68,7 +72,7 @@ class Block {
   Block() = default;
 
   // Digest preimage: all fields except the signature, domain-separated.
-  Bytes content_bytes() const;
+  void write_content(serde::Writer& w) const;
   void finalize_digest();
 
   ValidatorId author_ = 0;
@@ -78,6 +82,7 @@ class Block {
   std::vector<TxBatch> batches_;
   crypto::CoinShare coin_share_;
   crypto::Ed25519Signature signature_;
+  std::size_t encoded_size_ = 0;  // content bytes + signature
   Digest digest_;
 };
 

@@ -13,31 +13,47 @@
 
 namespace mahimahi {
 
+namespace {
+constexpr std::size_t kRecordHeaderBytes = 8;  // u32 len + u32 crc
+}
+
 Bytes wal_frame_record(BytesView payload) {
-  Bytes framed(8 + payload.size());
+  serde::Writer w(kRecordHeaderBytes + payload.size());
+  wal_begin_record(w);
+  w.raw(payload);
+  return wal_finish_record(std::move(w));
+}
+
+void wal_begin_record(serde::Writer& w) { w.u64(0); }
+
+Bytes wal_finish_record(serde::Writer&& w) {
+  Bytes framed = std::move(w).take();
+  const BytesView payload{framed.data() + kRecordHeaderBytes,
+                          framed.size() - kRecordHeaderBytes};
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   const std::uint32_t crc = crc32(payload);
   std::memcpy(framed.data(), &len, 4);
   std::memcpy(framed.data() + 4, &crc, 4);
-  std::memcpy(framed.data() + 8, payload.data(), payload.size());
   return framed;
 }
 
 Bytes wal_encode_block_record(const Block& block, bool own) {
-  serde::Writer w;
+  serde::Writer w(kRecordHeaderBytes + 1 + 10 + block.encoded_size());
+  wal_begin_record(w);
   w.u8(static_cast<std::uint8_t>(own ? WalRecordType::kOwnBlock
                                      : WalRecordType::kReceivedBlock));
-  const Bytes encoded = block.serialize();
-  w.bytes({encoded.data(), encoded.size()});
-  return wal_frame_record({w.data().data(), w.data().size()});
+  w.varint(block.encoded_size());
+  block.serialize_into(w);
+  return wal_finish_record(std::move(w));
 }
 
 Bytes wal_encode_commit_record(SlotId slot) {
   serde::Writer w;
+  wal_begin_record(w);
   w.u8(static_cast<std::uint8_t>(WalRecordType::kCommittedSlot));
   w.varint(slot.round);
   w.u32(slot.leader_offset);
-  return wal_frame_record({w.data().data(), w.data().size()});
+  return wal_finish_record(std::move(w));
 }
 
 FileWal::FileWal(std::string path, bool fsync_on_sync)

@@ -43,6 +43,12 @@ enum class WalRecordType : std::uint8_t {
 // equivalence rests on this). Each helper returns one fully framed record:
 // [u32 len][u32 crc][payload].
 Bytes wal_frame_record(BytesView payload);
+// In-place framing for encoders that build the payload themselves:
+// wal_begin_record reserves the header at the start of an empty writer, and
+// wal_finish_record fills in the length and CRC of everything written after
+// it, so the payload is never copied into a second buffer.
+void wal_begin_record(serde::Writer& w);
+Bytes wal_finish_record(serde::Writer&& w);
 Bytes wal_encode_block_record(const Block& block, bool own);
 Bytes wal_encode_commit_record(SlotId slot);
 

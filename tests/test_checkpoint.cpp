@@ -1128,5 +1128,25 @@ TEST(CheckpointCert, CertifiedChainAcceptsAndMismatchedContentRefuses) {
   EXPECT_NE(misindexed.error, "");
 }
 
+TEST(Checkpoint, RecordsFitTheirCapacityBound) {
+  Workload load(40);
+  CanonicalCutter cutter(load, /*interval=*/6);
+  for (const BlockPtr& block : load.blocks) cutter.feed(block);
+  ASSERT_GE(cutter.cuts.size(), 2u);
+
+  const auto& base = cutter.cuts[cutter.cuts.size() - 2].data;
+  const auto& tip = cutter.cuts[cutter.cuts.size() - 1];
+  const CheckpointDelta delta =
+      make_checkpoint_delta(base, tip.data, base.sequence, tip.app_delta);
+  ASSERT_FALSE(base.blocks.empty());
+  ASSERT_FALSE(delta.blocks_added.empty());
+  EXPECT_LE(encode_checkpoint(base).size(),
+            checkpoint_record_capacity(base.decided.size(), base.delivered.size(),
+                                       base.blocks, base.app_state.size()));
+  EXPECT_LE(encode_checkpoint_delta(delta).size(),
+            checkpoint_record_capacity(delta.decided_suffix.size(), delta.delivered.size(),
+                                       delta.blocks_added, delta.app_delta.size()));
+}
+
 }  // namespace
 }  // namespace mahimahi

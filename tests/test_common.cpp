@@ -63,6 +63,45 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(crc32_finish(state), crc32({data.data(), data.size()}));
 }
 
+// Bytewise reference CRC-32 (reflected 0xedb88320), one bit at a time.
+std::uint32_t reference_crc32_update(std::uint32_t state, const std::uint8_t* data,
+                                     std::size_t size) {
+  for (std::size_t i = 0; i < size; ++i) {
+    state ^= data[i];
+    for (int k = 0; k < 8; ++k) state = (state & 1) ? 0xedb88320u ^ (state >> 1) : state >> 1;
+  }
+  return state;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(5);
+  Bytes buffer(300 + 8);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 300; ++length) {
+      const std::uint8_t* data = buffer.data() + offset;
+      const std::uint32_t expected = reference_crc32_update(0xffffffffu, data, length) ^ 0xffffffffu;
+      ASSERT_EQ(crc32({data, length}), expected) << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32, RandomIncrementalSplitsMatchReference) {
+  Rng rng(6);
+  for (int trial = 0; trial < 50; ++trial) {
+    Bytes data(rng.uniform(2000));
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+    std::uint32_t state = crc32_init();
+    for (std::size_t pos = 0; pos < data.size();) {
+      const std::size_t take = std::min<std::size_t>(rng.uniform(40), data.size() - pos);
+      state = crc32_update(state, {data.data() + pos, take});
+      pos += take;
+    }
+    EXPECT_EQ(crc32_finish(state),
+              reference_crc32_update(0xffffffffu, data.data(), data.size()) ^ 0xffffffffu);
+  }
+}
+
 TEST(Crc32, DetectsSingleBitFlips) {
   Bytes data = to_bytes("some WAL record payload");
   const std::uint32_t original = crc32({data.data(), data.size()});

@@ -193,11 +193,9 @@ SignedMessage make_signed(std::uint8_t key_tag, std::string message) {
   std::array<std::uint8_t, 32> seed{};
   seed[0] = key_tag;
   seed[17] = 0xa5;
-  SignedMessage out;
-  out.keypair = ed25519_keypair_from_seed(seed);
-  out.message = std::move(message);
-  out.signature = ed25519_sign(out.keypair.private_key, as_bytes_view(out.message));
-  return out;
+  const Ed25519Keypair keypair = ed25519_keypair_from_seed(seed);
+  const Ed25519Signature signature = ed25519_sign(keypair.private_key, as_bytes_view(message));
+  return SignedMessage{keypair, std::move(message), signature};
 }
 
 std::vector<Ed25519BatchItem> as_items(const std::vector<SignedMessage>& signed_messages) {
@@ -292,7 +290,7 @@ TEST(Ed25519Batch, TorsionComponentVerdictIsBatchInvariant) {
   // Recompute s' = r + k'*a for the new challenge k' = H(R'||A||M), using
   // the RFC 8032 key expansion (the "attacker" here is the signer itself,
   // publishing a mangled-but-consistent signature).
-  const auto h = Sha512::hash({kp.private_key.seed.data(), kp.private_key.seed.size()});
+  const auto h = Sha512::hash({kp.private_key.seed().data(), kp.private_key.seed().size()});
   std::uint8_t clamped[32];
   std::copy(h.data(), h.data() + 32, clamped);
   clamped[0] &= 0xf8;

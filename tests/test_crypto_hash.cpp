@@ -211,6 +211,30 @@ TEST(Blake2b, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Blake2b, SplitsAroundBlockBoundariesMatchOneShot) {
+  // Inputs of 127/128/129 bytes (and one block later) split at every
+  // position: the block straddling the split is buffered, whole blocks are
+  // compressed from the input, and the last block waits for finish().
+  std::string msg(260, '\0');
+  for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<char>(i * 7 + 3);
+  for (const std::size_t length : {127ul, 128ul, 129ul, 255ul, 256ul, 257ul}) {
+    const std::string input = msg.substr(0, length);
+    const Digest expected = Blake2b::hash256(as_bytes_view(input));
+    for (std::size_t split = 0; split <= length; ++split) {
+      Blake2b h(32);
+      h.update(as_bytes_view(input.substr(0, split)));
+      h.update(as_bytes_view(input.substr(split)));
+      Digest d;
+      h.finish(d.bytes.data());
+      ASSERT_EQ(d, expected) << "length " << length << " split " << split;
+    }
+  }
+  // 129 bytes: one full block compressed, one byte in the final block
+  // (value from an independent BLAKE2b implementation).
+  EXPECT_EQ(Blake2b::hash256(as_bytes_view(msg.substr(0, 129))).hex(),
+            "a34a4e1e03c541dfbf3099c4b6c143c022ced65c28bd7e8a10e0a098461aecf0");
+}
+
 TEST(Blake2b, ExactBlockMultiples) {
   // 128- and 256-byte inputs exercise the "full buffer is not final" rule.
   const std::string one_block(128, 'b');

@@ -71,6 +71,22 @@ TEST_F(WalTest, AppendAndReplayBlocks) {
   EXPECT_EQ(commits[0], (SlotId{1, 0}));
 }
 
+TEST_F(WalTest, InPlaceRecordFramingMatchesCopiedPayload) {
+  // wal_encode_block_record writes the block straight into the framed
+  // record; the bytes must equal framing a separately built payload.
+  for (const bool own : {true, false}) {
+    const Block block = make_block(2, 300);
+    const Bytes wire = block.serialize();
+    ASSERT_EQ(wire.size(), block.encoded_size());
+    serde::Writer payload;
+    payload.u8(static_cast<std::uint8_t>(own ? WalRecordType::kOwnBlock
+                                             : WalRecordType::kReceivedBlock));
+    payload.bytes({wire.data(), wire.size()});
+    EXPECT_EQ(wal_encode_block_record(block, own),
+              wal_frame_record({payload.data().data(), payload.data().size()}));
+  }
+}
+
 TEST_F(WalTest, ReplayOfMissingFileIsEmpty) {
   const auto result = FileWal::replay(path_.string(), {});
   EXPECT_EQ(result.records, 0u);
