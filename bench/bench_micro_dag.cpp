@@ -108,6 +108,44 @@ void BM_CommitterIncremental(benchmark::State& state) {
 }
 BENCHMARK(BM_CommitterIncremental)->Arg(10)->Arg(50);
 
+void BM_CommitterPerArrival(benchmark::State& state) {
+  // The runtime's and the simulator's traffic shape: one try_commit after
+  // each block of a round, as blocks arrive one by one. One iteration is one
+  // full round.
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  constexpr Round kWarm = 30;
+  constexpr Round kRounds = 130;
+  DagBuilder source(n);
+  source.build_fully_connected(kRounds);
+  std::vector<std::vector<BlockPtr>> rounds(kRounds + 1);
+  for (Round r = 1; r <= kRounds; ++r) rounds[r] = source.dag().blocks_at(r);
+
+  std::unique_ptr<Dag> dag;
+  std::unique_ptr<Committer> committer;
+  Round next = kRounds + 1;
+  for (auto _ : state) {
+    if (next > kRounds) {
+      state.PauseTiming();
+      committer.reset();
+      dag = std::make_unique<Dag>(source.committee());
+      for (Round r = 1; r <= kWarm; ++r) {
+        for (const BlockPtr& block : rounds[r]) dag->insert(block);
+      }
+      committer = std::make_unique<Committer>(*dag, source.committee(), mahi_mahi_5(2));
+      committer->try_commit();
+      next = kWarm + 1;
+      state.ResumeTiming();
+    }
+    for (const BlockPtr& block : rounds[next]) {
+      dag->insert(block);
+      benchmark::DoNotOptimize(committer->try_commit());
+    }
+    ++next;
+  }
+  state.SetLabel("one round, try_commit per block");
+}
+BENCHMARK(BM_CommitterPerArrival)->Arg(10)->Arg(50);
+
 void BM_IsLink(benchmark::State& state) {
   DagBuilder builder(10);
   builder.build_fully_connected(20);

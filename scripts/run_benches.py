@@ -65,6 +65,19 @@ BENCHES: List[Bench] = [
                 "--max-ns", "BM_Ed25519Sign", "60000",
                 "--max-ns", "BM_Crc32/65536", "125000")),
 
+    # The commit rule and the structural check: one try_commit after a new
+    # n=50 round (~130 us) and a structural-only validation (~50 ns) must
+    # stay within about 3x of the slot-scoped-memo figures on a 4-core Xeon
+    # VM, so a slide back to the flat per-scan memo (~690 us) or per-call
+    # hash sets (~770 ns) fails the push. The per-arrival series (one
+    # try_commit per block, as blocks arrive) is pinned too.
+    Bench(name="micro_dag", binary="bench_micro_dag",
+          filter="^BM_Committer|^BM_BlockValidate/0$", min_time="0.05",
+          gate=("--expect", "BM_CommitterIncremental",
+                "--expect", "BM_CommitterPerArrival",
+                "--max-ns", "BM_CommitterIncremental/50$", "400000",
+                "--max-ns", "BM_BlockValidate/0$", "150")),
+
     Bench(name="mempool", binary="bench_mempool",
           filter="BM_MempoolSubmit/shards:(1|8).*threads:8", min_time="0.05",
           gate=("--expect", "BM_MempoolSubmit")),

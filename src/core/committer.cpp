@@ -58,72 +58,49 @@ std::optional<ValidatorId> Committer::slot_leader(SlotId slot) const {
   return static_cast<ValidatorId>((coin + slot.leader_offset) % committee_.size());
 }
 
-bool Committer::supported(const Block& candidate, Round vote_round,
-                          Round certify_round) {
-  // Direct commit evidence: 2f+1 distinct certify-round authors each holding
-  // a certificate block over `candidate` (§3.2 step 2).
-  const std::uint32_t quorum = committee_.quorum_threshold();
-  std::uint32_t certifying_authors = 0;
-  for (ValidatorId a = 0; a < committee_.size(); ++a) {
-    for (const BlockPtr& cert : dag_.slot(certify_round, a)) {
-      if (votes_.is_cert(*cert, candidate, vote_round, quorum)) {
-        ++certifying_authors;
-        break;  // one certificate per author suffices
-      }
-    }
-    if (certifying_authors >= quorum) return true;
-  }
-  return false;
-}
-
-bool Committer::skipped(const Block& candidate, ValidatorId leader,
-                        Round propose_round, Round vote_round) {
-  // Direct skip evidence for one candidate: 2f+1 distinct vote-round authors
-  // with a block that does not vote for it. Such a candidate can never
-  // gather a certificate (Lemma 3's quorum intersection).
-  const std::uint32_t quorum = committee_.quorum_threshold();
-  std::uint32_t non_voting_authors = 0;
-  for (ValidatorId a = 0; a < committee_.size(); ++a) {
-    for (const BlockPtr& vote : dag_.slot(vote_round, a)) {
-      const BlockPtr target = votes_.voted_block(*vote, leader, propose_round);
-      if (target == nullptr || target->digest() != candidate.digest()) {
-        ++non_voting_authors;
-        break;
-      }
-    }
-    if (non_voting_authors >= quorum) return true;
-  }
-  return false;
-}
-
-SlotDecision Committer::evaluate(SlotId slot,
-                                 const std::map<SlotId, SlotDecision>& later) {
+SlotDecision Committer::evaluate(std::size_t index) {
+  Pending& entry = pending_[index];
+  const SlotId slot = entry.decision.slot;
   SlotDecision decision = SlotDecision::undecided(slot);
 
-  const auto leader = slot_leader(slot);
-  if (!leader.has_value()) return decision;  // coin not yet reconstructible
-  decision.leader = *leader;
+  if (!entry.leader.has_value()) {
+    entry.leader = slot_leader(slot);
+    if (!entry.leader.has_value()) return decision;  // coin not yet reconstructible
+  }
+  const ValidatorId leader = *entry.leader;
+  decision.leader = leader;
 
   const Round vote_round = options_.vote_round(slot.round);
   const Round certify_round = options_.certify_round(slot.round);
-  const auto& candidates = dag_.slot(slot.round, *leader);
+  const std::uint32_t quorum = committee_.quorum_threshold();
+  const auto& candidates = dag_.slot(slot.round, leader);
+  const Dag::RoundSlots* votes = dag_.round_at(vote_round);
+  const Dag::RoundSlots* certify = dag_.round_at(certify_round);
+  VoteIndex::Target& target = votes_.target(slot.round, leader);
 
   // --- Direct decision rule (§3.2 step 2). ---
-  for (const BlockPtr& candidate : candidates) {
-    if (supported(*candidate, vote_round, certify_round)) {
-      decision.kind = SlotDecision::Kind::kCommit;
-      decision.via = SlotDecision::Via::kDirect;
-      decision.block = candidate;
-      decision.ref = candidate->ref();
-      decision.final_decision = true;
-      return decision;
+  // Commit evidence: 2f+1 distinct certify-round authors each holding a
+  // certificate block over the candidate.
+  if (certify != nullptr) {
+    for (const BlockPtr& candidate : candidates) {
+      if (votes_.certifying_authors(target, *candidate, *certify, vote_round, quorum) >=
+          quorum) {
+        decision.kind = SlotDecision::Kind::kCommit;
+        decision.via = SlotDecision::Via::kDirect;
+        decision.block = candidate;
+        decision.ref = candidate->ref();
+        decision.final_decision = true;
+        return decision;
+      }
     }
   }
-  if (options_.direct_skip &&
-      dag_.distinct_authors_at(vote_round) >= committee_.quorum_threshold()) {
+  // Skip evidence for one candidate: 2f+1 distinct vote-round authors with a
+  // block that does not vote for it. Such a candidate can never gather a
+  // certificate (Lemma 3's quorum intersection).
+  if (options_.direct_skip && votes != nullptr && votes->distinct_authors >= quorum) {
     bool all_candidates_dead = true;
     for (const BlockPtr& candidate : candidates) {
-      if (!skipped(*candidate, *leader, slot.round, vote_round)) {
+      if (votes_.non_voting_authors(target, *candidate, *votes, quorum) < quorum) {
         all_candidates_dead = false;
         break;
       }
@@ -139,11 +116,13 @@ SlotDecision Committer::evaluate(SlotId slot,
   // --- Indirect decision rule (§3.2 step 3). ---
   // Anchor: the earliest slot of a later wave (round > certify round, i.e.
   // round >= propose + wave_length) that is not skipped.
+  const SlotId first_later{slot.round + options_.wave_length, 0};
   const SlotDecision* anchor = nullptr;
-  for (auto it = later.lower_bound(SlotId{slot.round + options_.wave_length, 0});
-       it != later.end(); ++it) {
-    if (it->second.kind != SlotDecision::Kind::kSkip) {
-      anchor = &it->second;
+  for (std::size_t j = index + 1; j < pending_.size(); ++j) {
+    const SlotDecision& later = pending_[j].decision;
+    if (later.slot < first_later) continue;
+    if (later.kind != SlotDecision::Kind::kSkip) {
+      anchor = &later;
       break;
     }
   }
@@ -154,17 +133,20 @@ SlotDecision Committer::evaluate(SlotId slot,
   assert(anchor->kind == SlotDecision::Kind::kCommit);
   // Commit iff the anchor's causal history contains a certificate over a
   // candidate (at most one candidate can be certified, Lemma 2).
-  for (const BlockPtr& candidate : candidates) {
-    bool linked_certificate = false;
-    dag_.for_each_at(certify_round, [&](const BlockPtr& cert) {
-      if (votes_.is_cert(*cert, *candidate, vote_round, committee_.quorum_threshold()) &&
-          dag_.is_link(cert->ref(), *anchor->block)) {
-        linked_certificate = true;
-        return false;
+  const auto linked_certificate = [&](const Block& candidate) {
+    if (certify == nullptr) return false;
+    for (const auto& cell : certify->by_author) {
+      for (const BlockPtr& cert : cell) {
+        if (votes_.is_cert(target, *cert, candidate, vote_round, quorum) &&
+            dag_.is_link(cert->ref(), *anchor->block)) {
+          return true;
+        }
       }
-      return true;
-    });
-    if (linked_certificate) {
+    }
+    return false;
+  };
+  for (const BlockPtr& candidate : candidates) {
+    if (linked_certificate(*candidate)) {
       decision.kind = SlotDecision::Kind::kCommit;
       decision.via = SlotDecision::Via::kIndirect;
       decision.block = candidate;
@@ -179,45 +161,38 @@ SlotDecision Committer::evaluate(SlotId slot,
   return decision;
 }
 
-std::map<SlotId, SlotDecision> Committer::evaluate_all() {
-  std::map<SlotId, SlotDecision> pass;
+void Committer::evaluate_pending() {
+  // Extend the window to every slot whose propose round exists.
   const Round highest = highest_propose_round();
-  if (highest == 0) return pass;
-
-  // Descending over pending propose rounds; within a round, descending over
-  // leader offsets (Algorithm 1, TryDecide). Later slots are evaluated first
-  // so the indirect rule can consult them.
-  for (Round r = highest;; r -= options_.wave_stride) {
-    for (std::uint32_t offset = options_.leaders_per_round; offset-- > 0;) {
-      const SlotId slot{r, offset};
-      if (slot < next_pending_) continue;
-      if (const auto it = final_.find(slot); it != final_.end()) {
-        pass.emplace(slot, it->second);
-        continue;
-      }
-      SlotDecision decision = evaluate(slot, pass);
-      if (decision.final_decision) final_.emplace(slot, decision);
-      pass.emplace(slot, std::move(decision));
-    }
-    if (r < next_pending_.round + options_.wave_stride) break;  // reached the head
-    if (r < options_.wave_stride) break;                        // underflow guard
+  SlotId next = pending_.empty() ? next_pending_ : successor(pending_.back().decision.slot);
+  for (; next.round <= highest; next = successor(next)) {
+    pending_.push_back(Pending{.decision = SlotDecision::undecided(next), .leader = {}});
   }
-  return pass;
+  // Descending over pending slots (Algorithm 1, TryDecide): later slots are
+  // evaluated first so the indirect rule can consult them. Final decisions
+  // never change and are not re-evaluated.
+  for (std::size_t i = pending_.size(); i-- > 0;) {
+    if (pending_[i].decision.final_decision) continue;
+    pending_[i].decision = evaluate(i);
+  }
 }
 
 std::vector<SlotDecision> Committer::scan() {
-  std::vector<SlotDecision> out;
-  const auto pass = evaluate_all();
-
+  evaluate_pending();
   // The decided prefix in slot order, stopping at the first undecided slot
   // (Algorithm 1, ExtendCommitSequence). Consumption is apply()'s job.
-  for (SlotId slot = next_pending_;; slot = successor(slot)) {
-    const auto it = pass.find(slot);
-    if (it == pass.end()) break;  // beyond the evaluated range
-    if (it->second.kind == SlotDecision::Kind::kUndecided) break;
-    out.push_back(it->second);
+  std::vector<SlotDecision> out;
+  for (const Pending& entry : pending_) {
+    if (entry.decision.kind == SlotDecision::Kind::kUndecided) break;
+    out.push_back(entry.decision);
   }
   return out;
+}
+
+void Committer::pop_pending() {
+  const Pending& front = pending_.front();
+  if (front.leader.has_value()) votes_.forget(front.decision.slot.round, *front.leader);
+  pending_.pop_front();
 }
 
 std::vector<CommittedSubDag> Committer::apply(
@@ -245,7 +220,10 @@ std::vector<CommittedSubDag> Committer::apply(
       decision.via == SlotDecision::Via::kDirect ? ++stats_.direct_skips
                                                  : ++stats_.indirect_skips;
     }
-    final_.erase(decision.slot);
+    if (!pending_.empty()) {
+      assert(pending_.front().decision.slot == decision.slot);
+      pop_pending();
+    }
     next_pending_ = successor(decision.slot);
   }
   return out;
@@ -254,8 +232,8 @@ std::vector<CommittedSubDag> Committer::apply(
 void Committer::fast_forward(SlotId head) {
   if (head <= next_pending_) return;
   next_pending_ = head;
-  // Memoized final decisions below the head can never be consumed now.
-  std::erase_if(final_, [head](const auto& entry) { return entry.first < head; });
+  // Pending slots below the head can never be consumed now.
+  while (!pending_.empty() && pending_.front().decision.slot < head) pop_pending();
 }
 
 std::vector<std::pair<Digest, Round>> Committer::delivered_snapshot(
@@ -276,7 +254,8 @@ void Committer::restore(std::vector<SlotDecision> decided, SlotId head,
   next_pending_ = head;
   // Memoized evaluations predate the installed DAG; drop them rather than
   // reason about which survive (they are a cache, re-deriving is cheap).
-  final_.clear();
+  pending_.clear();
+  votes_.clear();
   delivered_.clear();
   for (const auto& [digest, round] : delivered) delivered_.emplace(digest, round);
   delivered_pruned_below_ = 0;
@@ -295,7 +274,7 @@ void Committer::restore(std::vector<SlotDecision> decided, SlotId head,
 std::vector<CommittedSubDag> Committer::try_commit() { return apply(scan()); }
 
 void Committer::prune_below(Round round) {
-  votes_.prune_below(round);
+  votes_.forget_below(round);
   // Delivered entries below the GC cut are never consulted again (linearize
   // skips sub-cut parents before the delivered check). Rescan the map only
   // every 16 rounds of horizon progress to amortize the O(map) sweep.

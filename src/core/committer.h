@@ -19,7 +19,7 @@
 // causal completeness).
 #pragma once
 
-#include <map>
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -51,7 +51,7 @@ class Committer : public CommitterBase {
   // pending slots against the current DAG and returns the newly decided
   // consecutive prefix starting at next_pending_slot(), WITHOUT consuming
   // it. Read-only with respect to the DAG and the consumption state; only
-  // the memo caches (vote index, final-decision map) mutate. All returned
+  // the caches (vote index, pending-slot verdicts) mutate. All returned
   // decisions are final (SlotDecision::final_decision): they never change as
   // the DAG grows, so a prefix scanned against a lagging replica applies
   // bit-identically to any equal-or-larger DAG containing the same blocks.
@@ -108,27 +108,36 @@ class Committer : public CommitterBase {
   // (2f+1 distinct certify-round shares in the DAG); nullopt before that.
   std::optional<ValidatorId> slot_leader(SlotId slot) const;
 
-  // Evaluates every pending slot against the current DAG without consuming
-  // anything. Exposed for tests and the probability benches.
-  std::map<SlotId, SlotDecision> evaluate_all();
-
   // Has `digest` been delivered as part of a committed sub-DAG?
   bool is_delivered(const Digest& digest) const { return delivered_.contains(digest); }
 
   // Forget memoized state below `round` (pair with Dag::prune_below).
   void prune_below(Round round) override;
 
+  // Vote-memo buckets currently cached: at most one per pending slot
+  // (core/vote_index.h).
+  std::size_t cached_targets() const { return votes_.size(); }
+
  private:
+  // A slot from next_pending_ on: its final decision, or the verdict of the
+  // latest pass; and its leader, cached once the coin opened.
+  struct Pending {
+    SlotDecision decision;
+    std::optional<ValidatorId> leader;
+  };
+
   SlotId successor(SlotId slot) const;
   // Highest propose round whose wave could possibly be evaluated now.
   Round highest_propose_round() const;
 
-  // The decision rules. `later` holds decisions for all slots after `slot`
-  // in the current pass (used by the indirect rule's anchor search).
-  SlotDecision evaluate(SlotId slot, const std::map<SlotId, SlotDecision>& later);
-  bool supported(const Block& candidate, Round vote_round, Round certify_round);
-  bool skipped(const Block& candidate, ValidatorId leader, Round propose_round,
-               Round vote_round);
+  // Extends pending_ to every slot whose propose round exists and
+  // re-evaluates the undecided ones against the current DAG, latest first.
+  void evaluate_pending();
+  // The decision rules for pending_[index]. Later entries hold this pass's
+  // decisions (used by the indirect rule's anchor search).
+  SlotDecision evaluate(std::size_t index);
+  // Drops the pending front, consumed, and its vote-memo bucket.
+  void pop_pending();
 
   const Dag& dag_;
   const Committee& committee_;
@@ -136,7 +145,7 @@ class Committer : public CommitterBase {
   VoteIndex votes_;
 
   SlotId next_pending_;
-  std::map<SlotId, SlotDecision> final_;  // decided (= final) slots >= next_pending_
+  std::deque<Pending> pending_;  // slots next_pending_, successor, ... in order
   std::vector<SlotDecision> decided_log_;
   DeliveredMap delivered_;
   Round delivered_pruned_below_ = 0;  // amortizes delivered_ rescans

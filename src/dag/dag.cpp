@@ -17,10 +17,20 @@ BlockPtr Dag::get(const Digest& digest) const {
   return it == by_digest_.end() ? nullptr : it->second;
 }
 
-const std::vector<BlockPtr>& Dag::slot(Round round, ValidatorId author) const {
+const Block* Dag::find(const Digest& digest) const {
+  const auto it = by_digest_.find(digest);
+  return it == by_digest_.end() ? nullptr : it->second.get();
+}
+
+const Dag::RoundSlots* Dag::round_at(Round round) const {
   const auto it = rounds_.find(round);
-  if (it == rounds_.end() || author >= n_) return empty_;
-  return it->second.by_author[author];
+  return it == rounds_.end() ? nullptr : &it->second;
+}
+
+const std::vector<BlockPtr>& Dag::slot(Round round, ValidatorId author) const {
+  const RoundSlots* slots = round_at(round);
+  if (slots == nullptr || author >= n_) return empty_;
+  return slots->by_author[author];
 }
 
 std::vector<BlockPtr> Dag::blocks_at(Round round) const {
@@ -31,17 +41,6 @@ std::vector<BlockPtr> Dag::blocks_at(Round round) const {
     out.insert(out.end(), cell.begin(), cell.end());
   }
   return out;
-}
-
-void Dag::for_each_at(Round round,
-                      const std::function<bool(const BlockPtr&)>& visit) const {
-  const auto it = rounds_.find(round);
-  if (it == rounds_.end()) return;
-  for (const auto& cell : it->second.by_author) {
-    for (const auto& block : cell) {
-      if (!visit(block)) return;
-    }
-  }
 }
 
 std::uint32_t Dag::distinct_authors_at(Round round) const {
@@ -70,6 +69,7 @@ bool Dag::insert(BlockPtr block) {
   auto& cell = it->second.by_author.at(block->author());
   if (cell.empty()) ++it->second.distinct_authors;
   cell.push_back(block);
+  ++it->second.block_count;
   if (block->round() > highest_round_) highest_round_ = block->round();
   by_digest_.emplace(block->digest(), std::move(block));
   return true;
@@ -88,7 +88,7 @@ bool Dag::is_link(const BlockRef& old_ref, const Block& from) const {
       if (parent.round < old_ref.round) continue;
       if (parent.digest == old_ref.digest) return true;
       if (!visited.insert(parent.digest).second) continue;
-      if (const BlockPtr next = get(parent.digest)) frontier.push_back(next.get());
+      if (const Block* next = find(parent.digest)) frontier.push_back(next);
     }
   }
   return false;

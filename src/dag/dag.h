@@ -10,7 +10,6 @@
 // the same (round, author) slot; `slot()` returns all of them.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -34,15 +33,30 @@ class Dag {
   BlockPtr get(const Digest& digest) const;
   BlockPtr get(const BlockRef& ref) const { return get(ref.digest); }
 
+  // As get(), without the shared-pointer copy (two atomic refcount updates):
+  // for hot read-only lookups that do not outlive the block's presence.
+  const Block* find(const Digest& digest) const;
+
+  // One round's blocks, by author.
+  struct RoundSlots {
+    std::vector<std::vector<BlockPtr>> by_author;  // size n
+    std::uint32_t distinct_authors = 0;
+    // Blocks at the round, equivocations included. Slots only grow (until
+    // pruned), so an unchanged count means no block was added.
+    std::size_t block_count = 0;
+  };
+
+  // The round's slots, or nullptr when no block exists at `round`. One map
+  // lookup: hot paths fetch a round once and index its authors, instead of
+  // calling slot() per author.
+  const RoundSlots* round_at(Round round) const;
+
   // All known blocks by `author` at `round` (empty / one / several under
   // equivocation).
   const std::vector<BlockPtr>& slot(Round round, ValidatorId author) const;
 
   // Every block at `round`, all authors, equivocations included.
   std::vector<BlockPtr> blocks_at(Round round) const;
-
-  // Visits each block at `round`; return false from the visitor to stop.
-  void for_each_at(Round round, const std::function<bool(const BlockPtr&)>& visit) const;
 
   // Number of distinct authors with at least one block at `round` (the
   // quorum measure used for round advancement and coin opening).
@@ -71,11 +85,6 @@ class Dag {
   Round pruned_below() const { return pruned_below_; }
 
  private:
-  struct RoundSlots {
-    std::vector<std::vector<BlockPtr>> by_author;  // size n
-    std::uint32_t distinct_authors = 0;
-  };
-
   std::uint32_t n_;
   std::unordered_map<Digest, BlockPtr, DigestHasher> by_digest_;
   std::map<Round, RoundSlots> rounds_;

@@ -1,6 +1,6 @@
 #include "types/validation.h"
 
-#include <unordered_set>
+#include <cstdint>
 
 namespace mahimahi {
 
@@ -23,15 +23,38 @@ BlockValidity validate_block_structure(const Block& block, const Committee& comm
   if (!committee.contains(block.author())) return BlockValidity::kUnknownAuthor;
   if (block.round() == 0) return BlockValidity::kGenesisFromNetwork;
 
-  std::unordered_set<Digest, DigestHasher> seen;
-  std::unordered_set<ValidatorId> previous_round_authors;
-  for (const auto& parent : block.parents()) {
+  // Per-thread scratch, reused across calls so the check allocates nothing
+  // once warm: an open-addressing set of parent positions (linear probing,
+  // 0 = empty) and a bitset of previous-round authors. Parents are checked in
+  // order, so the first offending parent decides the verdict.
+  thread_local std::vector<std::uint32_t> seen;
+  thread_local std::vector<std::uint64_t> previous_round;
+  const std::vector<BlockRef>& parents = block.parents();
+  std::size_t capacity = 16;
+  while (capacity < 2 * parents.size()) capacity *= 2;
+  seen.assign(capacity, 0);
+  previous_round.assign((committee.size() + 63) / 64, 0);
+  std::uint32_t previous_round_authors = 0;
+
+  for (std::uint32_t i = 0; i < parents.size(); ++i) {
+    const BlockRef& parent = parents[i];
     if (!committee.contains(parent.author)) return BlockValidity::kParentUnknownAuthor;
     if (parent.round >= block.round()) return BlockValidity::kParentFromFuture;
-    if (!seen.insert(parent.digest).second) return BlockValidity::kDuplicateParents;
-    if (parent.round == block.round() - 1) previous_round_authors.insert(parent.author);
+    std::size_t at = DigestHasher{}(parent.digest) & (capacity - 1);
+    for (; seen[at] != 0; at = (at + 1) & (capacity - 1)) {
+      if (parents[seen[at] - 1].digest == parent.digest) {
+        return BlockValidity::kDuplicateParents;
+      }
+    }
+    seen[at] = i + 1;
+    if (parent.round == block.round() - 1) {
+      std::uint64_t& word = previous_round[parent.author / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (parent.author % 64);
+      if ((word & bit) == 0) ++previous_round_authors;
+      word |= bit;
+    }
   }
-  if (previous_round_authors.size() < committee.quorum_threshold()) {
+  if (previous_round_authors < committee.quorum_threshold()) {
     return BlockValidity::kInsufficientParentQuorum;
   }
   return BlockValidity::kValid;

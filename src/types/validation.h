@@ -50,9 +50,11 @@ struct ValidationOptions {
   bool verify_coin_share = true;
 };
 
-// Stage 1: structural checks only — no crypto, no allocation-heavy work
-// beyond the parent-set scan. Returns kValid when the block's shape is
-// acceptable.
+// Stage 1: structural checks only — no crypto and, once the calling thread
+// has warmed its scratch, no allocation. Parents are checked in order; the
+// first offending one decides between kParentUnknownAuthor,
+// kParentFromFuture and kDuplicateParents (in that precedence for a single
+// parent). Returns kValid when the block's shape is acceptable.
 BlockValidity validate_block_structure(const Block& block, const Committee& committee);
 
 // Stage 2: coin-share and signature verification, assuming the structural

@@ -83,17 +83,6 @@ TEST(Dag, DistinctAuthorCounting) {
   EXPECT_EQ(b.dag().distinct_authors_at(99), 0u);
 }
 
-TEST(Dag, ForEachAtStopsEarly) {
-  DagBuilder b(4);
-  b.add_full_round(1);
-  int visited = 0;
-  b.dag().for_each_at(1, [&](const BlockPtr&) {
-    ++visited;
-    return visited < 2;
-  });
-  EXPECT_EQ(visited, 2);
-}
-
 TEST(Dag, IsLinkDirectAndTransitive) {
   DagBuilder b(4);
   b.build_fully_connected(3);

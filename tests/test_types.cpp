@@ -189,6 +189,53 @@ TEST_F(BlockTest, RejectsParentByUnknownAuthor) {
   EXPECT_EQ(validate_block(b, committee()), BlockValidity::kParentUnknownAuthor);
 }
 
+TEST_F(BlockTest, FirstOffendingParentDecidesTheVerdict) {
+  // One block carrying several parent faults: the first offending parent,
+  // in order, decides; within one parent, an unknown author outranks a
+  // future round, which outranks a duplicate. Every per-parent fault
+  // outranks the quorum rule.
+  const auto base = genesis_refs();
+  BlockRef duplicate = base[0];
+  BlockRef future = base[1];
+  future.round = 1;
+  future.digest.bytes[0] ^= 0x5a;  // a fresh digest: only the round is wrong
+  BlockRef unknown = base[2];
+  unknown.author = 17;
+  unknown.digest.bytes[0] ^= 0xa5;
+
+  const auto verdict = [&](std::vector<BlockRef> extra, std::size_t keep = 4) {
+    std::vector<BlockRef> parents(base.begin(), base.begin() + keep);
+    parents.insert(parents.end(), extra.begin(), extra.end());
+    const Block b = Block::make(0, 1, parents, {}, coin().share(0, 1),
+                                setup_.keypairs[0].private_key);
+    return validate_block_structure(b, committee());
+  };
+
+  EXPECT_EQ(verdict({duplicate, future}), BlockValidity::kDuplicateParents);
+  EXPECT_EQ(verdict({future, duplicate}), BlockValidity::kParentFromFuture);
+  EXPECT_EQ(verdict({unknown, future}), BlockValidity::kParentUnknownAuthor);
+  EXPECT_EQ(verdict({future, unknown}), BlockValidity::kParentFromFuture);
+  EXPECT_EQ(verdict({duplicate, unknown}), BlockValidity::kDuplicateParents);
+  EXPECT_EQ(verdict({unknown, duplicate}), BlockValidity::kParentUnknownAuthor);
+  EXPECT_EQ(verdict({future, unknown, duplicate}), BlockValidity::kParentFromFuture);
+
+  // Several faults on one parent.
+  BlockRef duplicate_future = base[0];
+  duplicate_future.round = 1;
+  BlockRef duplicate_unknown = base[0];
+  duplicate_unknown.author = 17;
+  BlockRef unknown_future = unknown;
+  unknown_future.round = 1;
+  EXPECT_EQ(verdict({duplicate_future}), BlockValidity::kParentFromFuture);
+  EXPECT_EQ(verdict({duplicate_unknown}), BlockValidity::kParentUnknownAuthor);
+  EXPECT_EQ(verdict({unknown_future}), BlockValidity::kParentUnknownAuthor);
+
+  // Too few previous-round authors, plus a parent fault: the fault wins.
+  EXPECT_EQ(verdict({}, 2), BlockValidity::kInsufficientParentQuorum);
+  EXPECT_EQ(verdict({duplicate}, 2), BlockValidity::kDuplicateParents);
+  EXPECT_EQ(verdict({future}, 2), BlockValidity::kParentFromFuture);
+}
+
 TEST_F(BlockTest, QuorumCountsDistinctAuthorsNotRefs) {
   // Three refs but only two distinct round-0 authors (one from an older
   // round): must fail the 2f+1 rule at round-1... constructed at round 2.
