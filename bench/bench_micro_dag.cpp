@@ -1,11 +1,14 @@
 // Microbenchmarks: DAG operations, serialization, decision rules, WAL.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <memory>
 
 #include "core/committer.h"
 #include "sim/dag_builder.h"
 #include "types/validation.h"
+#include "validator/synchronizer.h"
 #include "wal/wal.h"
 
 namespace {
@@ -59,24 +62,48 @@ void BM_BlockValidate(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockValidate)->Arg(0)->Arg(1);  // structural only vs full crypto
 
-void BM_DagInsertRound(benchmark::State& state) {
+void BM_SynchronizerOfferRound(benchmark::State& state) {
+  // The ingest path of both drivers: Synchronizer::offer, which makes the
+  // DAG's one presence check per parent and inserts. One iteration offers
+  // one round's worth of random-network blocks. Each pair of consecutive
+  // rounds is shuffled together, so some blocks arrive before their parents,
+  // park, and insert in a cascade when the parents come.
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    DagBuilder builder(n);
-    builder.build_fully_connected(3);
-    std::vector<BlockPtr> blocks;
-    {
-      DagBuilder source(n);
-      source.build_fully_connected(4);
-      blocks = source.dag().blocks_at(4);
-    }
-    state.ResumeTiming();
-    // Not measurable this way (different committees); measure via add_block:
-    benchmark::DoNotOptimize(builder.add_full_round(4));
+  constexpr Round kRounds = 100;
+  DagBuilder source(n);
+  Rng rng(7);
+  for (Round r = 1; r <= kRounds; ++r) source.add_random_network_round(r, rng);
+  std::vector<BlockPtr> stream;
+  for (Round r = 1; r < kRounds; r += 2) {
+    std::vector<BlockPtr> pair = source.dag().blocks_at(r);
+    const std::vector<BlockPtr> next = source.dag().blocks_at(r + 1);
+    pair.insert(pair.end(), next.begin(), next.end());
+    std::shuffle(pair.begin(), pair.end(), rng);
+    stream.insert(stream.end(), pair.begin(), pair.end());
   }
+
+  std::unique_ptr<Dag> dag;
+  std::unique_ptr<Synchronizer> sync;
+  std::size_t next = stream.size();
+  std::size_t inserted = 0;
+  for (auto _ : state) {
+    if (next + n > stream.size()) {
+      state.PauseTiming();
+      sync.reset();
+      dag = std::make_unique<Dag>(source.committee());
+      sync = std::make_unique<Synchronizer>(*dag, stream.size());
+      next = 0;
+      state.ResumeTiming();
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      inserted += sync->offer(stream[next++]).inserted.size();
+    }
+  }
+  benchmark::DoNotOptimize(inserted);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+  state.SetLabel("one round of blocks, round pairs shuffled");
 }
-BENCHMARK(BM_DagInsertRound)->Arg(10)->Arg(50);
+BENCHMARK(BM_SynchronizerOfferRound)->Arg(10)->Arg(50);
 
 void BM_CommitterDecideWave(benchmark::State& state) {
   // Cost of the full decision pipeline over a freshly completed wave.

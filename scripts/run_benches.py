@@ -70,13 +70,21 @@ BENCHES: List[Bench] = [
     # stay within about 3x of the slot-scoped-memo figures on a 4-core Xeon
     # VM, so a slide back to the flat per-scan memo (~690 us) or per-call
     # hash sets (~770 ns) fails the push. The per-arrival series (one
-    # try_commit per block, as blocks arrive) is pinned too.
+    # try_commit per block, as blocks arrive) is pinned too. The ingest path
+    # (Synchronizer::offer over one shuffled n=50 round, 90-160 us) gets the
+    # same ~3x headroom, which catches a superlinear slide but not the old
+    # digest-map lookups (120-200 us); the committer's causal-link query
+    # (2-4 us) fails the push on a return to per-call hash sets (22-40 us).
     Bench(name="micro_dag", binary="bench_micro_dag",
-          filter="^BM_Committer|^BM_BlockValidate/0$", min_time="0.05",
+          filter="^BM_Committer|^BM_BlockValidate/0$|^BM_SynchronizerOfferRound|^BM_IsLink$",
+          min_time="0.05",
           gate=("--expect", "BM_CommitterIncremental",
                 "--expect", "BM_CommitterPerArrival",
+                "--expect", "BM_SynchronizerOfferRound",
                 "--max-ns", "BM_CommitterIncremental/50$", "400000",
-                "--max-ns", "BM_BlockValidate/0$", "150")),
+                "--max-ns", "BM_BlockValidate/0$", "150",
+                "--max-ns", "BM_SynchronizerOfferRound/50$", "450000",
+                "--max-ns", "BM_IsLink$", "12000")),
 
     Bench(name="mempool", binary="bench_mempool",
           filter="BM_MempoolSubmit/shards:(1|8).*threads:8", min_time="0.05",

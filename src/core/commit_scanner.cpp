@@ -10,12 +10,12 @@ CommitScanner::CommitScanner(const Dag& seed, SlotId head, const Committee& comm
 
 void CommitScanner::ingest(const std::vector<BlockPtr>& blocks) {
   for (const BlockPtr& block : blocks) {
-    // Below the replica's horizon: the owner admitted this block before its
-    // own (lagging) GC caught up with ours. Sub-horizon blocks can never
-    // influence a pending slot — every pending slot's vote/certify rounds
-    // sit at or above the consumption head, strictly above the horizon — and
-    // the owner linearizes against its full DAG, so skipping is safe.
-    if (block->round() < replica_.pruned_below()) continue;
+    // A block below the replica's horizon (the owner admitted it before its
+    // own, lagging GC caught up with ours) is not inserted. Sub-horizon
+    // blocks can never influence a pending slot — every pending slot's
+    // vote/certify rounds sit at or above the consumption head, strictly
+    // above the horizon — and the owner linearizes against its full DAG, so
+    // skipping is safe.
     if (replica_.insert(block)) ++blocks_ingested_;
   }
 }

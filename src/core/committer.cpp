@@ -135,8 +135,8 @@ SlotDecision Committer::evaluate(std::size_t index) {
   // candidate (at most one candidate can be certified, Lemma 2).
   const auto linked_certificate = [&](const Block& candidate) {
     if (certify == nullptr) return false;
-    for (const auto& cell : certify->by_author) {
-      for (const BlockPtr& cert : cell) {
+    for (const Dag::Cell& cell : certify->by_author) {
+      for (const BlockPtr& cert : cell.blocks) {
         if (votes_.is_cert(target, *cert, candidate, vote_round, quorum) &&
             dag_.is_link(cert->ref(), *anchor->block)) {
           return true;

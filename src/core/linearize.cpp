@@ -1,7 +1,6 @@
 #include "core/linearize.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace mahimahi {
 
@@ -12,19 +11,20 @@ CommittedSubDag linearize_sub_dag(const Dag& dag, SlotId slot, BlockPtr leader,
   sub_dag.slot = slot;
   sub_dag.leader = leader;
 
-  std::vector<BlockPtr> frontier{leader};
-  std::unordered_set<Digest, DigestHasher> seen{leader->digest()};
-  while (!frontier.empty()) {
-    const BlockPtr current = frontier.back();
-    frontier.pop_back();
-    sub_dag.blocks.push_back(current);
-    for (const auto& parent : current->parents()) {
+  // A block is marked delivered when it is discovered, so `delivered` is
+  // also the traversal's visited set. sub_dag.blocks doubles as the work
+  // list; the sort below fixes the order.
+  delivered.emplace(leader->digest(), leader->round());
+  sub_dag.blocks.push_back(std::move(leader));
+  for (std::size_t next = 0; next < sub_dag.blocks.size(); ++next) {
+    for (const BlockRef& parent : sub_dag.blocks[next]->parents()) {
       // The GC cut: references below min_round are deterministically
       // excluded, whether or not the local DAG still holds them.
-      if (parent.round < min_round) continue;
-      if (seen.contains(parent.digest) || delivered.contains(parent.digest)) continue;
-      seen.insert(parent.digest);
-      if (const BlockPtr block = dag.get(parent.digest)) frontier.push_back(block);
+      if (parent.round < min_round || delivered.contains(parent.digest)) continue;
+      if (BlockPtr block = dag.get(parent)) {
+        delivered.emplace(parent.digest, parent.round);
+        sub_dag.blocks.push_back(std::move(block));
+      }
     }
   }
 
@@ -36,7 +36,6 @@ CommittedSubDag linearize_sub_dag(const Dag& dag, SlotId slot, BlockPtr leader,
             });
 
   for (const BlockPtr& block : sub_dag.blocks) {
-    delivered.emplace(block->digest(), block->round());
     ++stats.delivered_blocks;
     stats.delivered_transactions += block->transaction_count();
   }

@@ -79,25 +79,17 @@ VoteIndex::Vote VoteIndex::resolve(Target& target, const Block& from) {
       const BlockRef& parent = parents[frame.next_parent++];
       if (parent.round < target.round) continue;  // cannot contain the target
       if (parent.round == target.round && parent.author == target.author) {
-        frame.vote = Vote{.found = true, .target = dag_.find(parent.digest)};
+        frame.vote = Vote{.found = true, .target = dag_.find(parent)};
         break;
       }
       // The reference names the block's cell, so a memo hit costs no DAG
-      // lookup. A reference whose round or author disagrees with its block
-      // misses here and is retried at the block's own cell below.
-      const Vote* memo = lookup(target, parent.round, parent.author, parent.digest);
-      const Block* block = nullptr;
-      if (memo == nullptr) {
-        block = dag_.find(parent.digest);
-        if (block == nullptr) continue;  // pruned history; treated as absent
-        if (block->round() != parent.round || block->author() != parent.author) {
-          memo = lookup(target, block->round(), block->author(), parent.digest);
-        }
-      }
-      if (memo != nullptr) {
+      // lookup (a block is only ever found at the cell its refs name).
+      if (const Vote* memo = lookup(target, parent.round, parent.author, parent.digest)) {
         if (memo->found) frame.vote = *memo;
         continue;
       }
+      const Block* block = dag_.find(parent);
+      if (block == nullptr) continue;  // pruned history; treated as absent
       // Invalidates `frame`.
       stack_.push_back(Frame{.block = block, .next_parent = 0, .vote = {}});
       descended = true;
@@ -119,7 +111,7 @@ bool VoteIndex::vote_of(Target& target, const BlockRef& ref, Vote& out) {
     out = *memo;
     return true;
   }
-  const Block* block = dag_.find(ref.digest);
+  const Block* block = dag_.find(ref);
   if (block == nullptr) return false;
   out = resolve(target, *block);
   return true;
@@ -159,7 +151,7 @@ std::uint32_t VoteIndex::tally(AuthorTally& tally, const Dag::RoundSlots& round,
   for (std::size_t a = 0; a < round.by_author.size(); ++a) {
     std::uint32_t& tested = tally.tested[a];
     if (tested == AuthorTally::kCounted) continue;
-    const std::vector<BlockPtr>& cell = round.by_author[a];
+    const std::vector<BlockPtr>& cell = round.by_author[a].blocks;
     for (; tested < cell.size(); ++tested) {
       if (matches(*cell[tested])) {
         tested = AuthorTally::kCounted;  // one matching block per author suffices

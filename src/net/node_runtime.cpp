@@ -825,19 +825,18 @@ std::size_t NodeRuntime::verify_frames(std::vector<RawFrame> frames) {
   // concurrently with itself. The forwarded-digest record is written there,
   // AFTER the core decides: a block the synchronizer drops under
   // back-pressure must stay re-deliverable through the fetch path.
-  std::vector<Digest> digests;
-  digests.reserve(items.size());
-  for (const auto& item : items) digests.push_back(item.block->digest());
+  std::vector<BlockRef> refs;
+  refs.reserve(items.size());
+  for (const auto& item : items) refs.push_back(item.block->ref());
   const TimeMicros verified_at = steady_now_micros();
-  loop_.post([this, items = std::move(items), digests = std::move(digests),
+  loop_.post([this, items = std::move(items), refs = std::move(refs),
               verified_at]() mutable {
     const TimeMicros picked_up = steady_now_micros();
-    tracer_.record_stage(obs::Stage::kInsertQueue, picked_up - verified_at,
-                         digests.size());
+    tracer_.record_stage(obs::Stage::kInsertQueue, picked_up - verified_at, refs.size());
     perform(core_->on_blocks(std::move(items), picked_up));
     tracer_.record_stage(obs::Stage::kDagInsert, steady_now_micros() - picked_up);
-    for (const auto& digest : digests) {
-      if (core_->knows_block(digest)) forwarded_digests_.insert(digest);
+    for (const auto& ref : refs) {
+      if (core_->knows_block(ref)) forwarded_digests_.insert(ref.digest);
     }
   });
   return crypto_staged;

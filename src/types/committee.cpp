@@ -14,6 +14,10 @@ Committee::Committee(std::vector<crypto::Ed25519PublicKey> public_keys, Digest e
       coin_(static_cast<std::uint32_t>(public_keys_.size()),
             (static_cast<std::uint32_t>(public_keys_.size()) - 1) / 3, epoch_seed) {
   if (public_keys_.empty()) throw std::invalid_argument("empty committee");
+  genesis_.reserve(size());
+  for (ValidatorId v = 0; v < size(); ++v) {
+    genesis_.push_back(std::make_shared<const Block>(Block::genesis(v, coin_)));
+  }
 }
 
 Committee::TestSetup Committee::make_test(std::uint32_t n, std::uint64_t seed) {

@@ -7,6 +7,7 @@
 
 #include "crypto/coin.h"
 #include "crypto/ed25519.h"
+#include "types/block.h"
 #include "types/ids.h"
 
 namespace mahimahi {
@@ -34,6 +35,10 @@ class Committee {
   const Digest& epoch_seed() const { return epoch_seed_; }
   const crypto::ThresholdCoin& coin() const { return coin_; }
 
+  // The n genesis blocks (round 0), indexed by author and built once: every
+  // DAG over this committee holds these same instances.
+  const std::vector<BlockPtr>& genesis() const { return genesis_; }
+
   struct TestSetup;
   // Deterministic test committee: n keypairs derived from `seed`. Returns the
   // committee and each validator's private key.
@@ -43,6 +48,7 @@ class Committee {
   std::vector<crypto::Ed25519PublicKey> public_keys_;
   Digest epoch_seed_;
   crypto::ThresholdCoin coin_;
+  std::vector<BlockPtr> genesis_;
 };
 
 struct Committee::TestSetup {

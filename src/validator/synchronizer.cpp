@@ -6,22 +6,18 @@ namespace mahimahi {
 
 Synchronizer::Outcome Synchronizer::offer(BlockPtr block) {
   Outcome outcome;
-  const Digest digest = block->digest();
-  if (dag_.contains(digest) || pending_.contains(digest)) return outcome;
+  const BlockRef ref = block->ref();
+  if (pending_.contains(ref)) return outcome;
 
-  // Collect unknown parents. References below the DAG's GC horizon are
-  // satisfied by definition (they can never be delivered; see
-  // Dag::parents_present) and are not fetched.
-  std::vector<BlockRef> unknown;
-  for (const auto& parent : block->parents()) {
-    if (parent.round < dag_.pruned_below()) continue;
-    if (!dag_.contains(parent.digest)) unknown.push_back(parent);
-  }
-
-  if (unknown.empty()) {
-    insert_and_cascade(std::move(block), outcome.inserted);
+  // References below the DAG's GC horizon are satisfied by definition (they
+  // can never be delivered; see Dag::parents_present) and are not fetched.
+  unknown_.clear();
+  if (dag_.insert(block, &unknown_)) {
+    outcome.inserted.push_back(std::move(block));
+    cascade(outcome.inserted);
     return outcome;
   }
+  if (unknown_.empty()) return outcome;  // duplicate, or below the horizon
 
   if (pending_.size() >= max_pending_) {
     // Bounded buffer: drop the offer; the block will be re-fetched later if
@@ -30,49 +26,44 @@ Synchronizer::Outcome Synchronizer::offer(BlockPtr block) {
     return outcome;
   }
 
-  Pending entry;
-  entry.block = std::move(block);
-  entry.missing_count = unknown.size();
-  pending_.emplace(digest, std::move(entry));
-  for (const auto& parent : unknown) {
-    auto& waiting = waiters_[parent.digest];
-    waiting.push_back(digest);
-    // Report each missing parent once per offer; the caller de-duplicates
-    // in-flight fetches.
-    if (waiting.size() == 1 || !missing_refs_.contains(parent.digest)) {
-      missing_refs_.emplace(parent.digest, parent);
-    }
+  pending_.emplace(ref, Pending{std::move(block), unknown_.size()});
+  for (const BlockRef& parent : unknown_) {
+    waiters_[parent].push_back(ref);
     // A parent might itself be pending (known but not insertable); only ask
-    // the network for parents we have never seen.
-    if (!pending_.contains(parent.digest)) outcome.missing.push_back(parent);
+    // the network for parents we have never seen. The caller de-duplicates
+    // in-flight fetches.
+    if (!pending_.contains(parent)) outcome.missing.push_back(parent);
   }
   return outcome;
 }
 
-void Synchronizer::insert_and_cascade(BlockPtr block, std::vector<BlockPtr>& inserted) {
-  dag_.insert(block);
-  inserted.push_back(block);
+std::vector<BlockPtr> Synchronizer::release(const BlockRef& ref) {
+  std::vector<BlockPtr> ready;
+  const auto it = waiters_.find(ref);
+  if (it == waiters_.end()) return ready;
+  const std::vector<BlockRef> dependents = std::move(it->second);
+  waiters_.erase(it);
+  for (const BlockRef& dependent : dependents) {
+    const auto pending_it = pending_.find(dependent);
+    if (pending_it == pending_.end()) continue;
+    if (--pending_it->second.missing_count == 0) {
+      ready.push_back(std::move(pending_it->second.block));
+      pending_.erase(pending_it);
+    }
+  }
+  return ready;
+}
 
-  // Iteratively resolve waiters (a queue, to avoid recursion).
-  std::vector<Digest> ready{block->digest()};
-  while (!ready.empty()) {
-    const Digest arrived = ready.back();
-    ready.pop_back();
-    missing_refs_.erase(arrived);
-    const auto it = waiters_.find(arrived);
-    if (it == waiters_.end()) continue;
-    const std::vector<Digest> dependents = std::move(it->second);
-    waiters_.erase(it);
-    for (const Digest& dependent : dependents) {
-      const auto pending_it = pending_.find(dependent);
-      if (pending_it == pending_.end()) continue;
-      if (--pending_it->second.missing_count == 0) {
-        BlockPtr unblocked = std::move(pending_it->second.block);
-        pending_.erase(pending_it);
-        dag_.insert(unblocked);
-        inserted.push_back(unblocked);
-        ready.push_back(unblocked->digest());
-      }
+void Synchronizer::cascade(std::vector<BlockPtr>& inserted) {
+  // Iteratively resolve waiters (a stack, to avoid recursion).
+  std::vector<BlockRef> arrived{inserted.back()->ref()};
+  while (!arrived.empty()) {
+    const BlockRef ref = arrived.back();
+    arrived.pop_back();
+    for (BlockPtr& unblocked : release(ref)) {
+      dag_.insert(unblocked);
+      arrived.push_back(unblocked->ref());
+      inserted.push_back(std::move(unblocked));
     }
   }
 }
@@ -81,32 +72,20 @@ std::vector<BlockPtr> Synchronizer::prune_below(Round round) {
   std::vector<BlockPtr> inserted;
 
   // Drop pending blocks that are themselves below the horizon.
-  std::vector<Digest> stale;
-  for (const auto& [digest, entry] : pending_) {
-    if (entry.block->round() < round) stale.push_back(digest);
-  }
-  for (const Digest& digest : stale) pending_.erase(digest);
+  std::erase_if(pending_,
+                [round](const auto& entry) { return entry.first.round < round; });
 
   // Missing refs below the horizon are satisfied by definition: resolve
   // their waiters exactly as if the block had arrived.
-  std::vector<Digest> satisfied;
-  for (const auto& [digest, ref] : missing_refs_) {
-    if (ref.round < round) satisfied.push_back(digest);
+  std::vector<BlockRef> satisfied;
+  for (const auto& [ref, dependents] : waiters_) {
+    if (ref.round < round) satisfied.push_back(ref);
   }
-  for (const Digest& arrived : satisfied) {
-    missing_refs_.erase(arrived);
-    const auto it = waiters_.find(arrived);
-    if (it == waiters_.end()) continue;
-    const std::vector<Digest> dependents = std::move(it->second);
-    waiters_.erase(it);
-    for (const Digest& dependent : dependents) {
-      const auto pending_it = pending_.find(dependent);
-      if (pending_it == pending_.end()) continue;
-      if (--pending_it->second.missing_count == 0) {
-        BlockPtr unblocked = std::move(pending_it->second.block);
-        pending_.erase(pending_it);
-        insert_and_cascade(std::move(unblocked), inserted);
-      }
+  for (const BlockRef& ref : satisfied) {
+    for (BlockPtr& unblocked : release(ref)) {
+      dag_.insert(unblocked);
+      inserted.push_back(std::move(unblocked));
+      cascade(inserted);
     }
   }
   return inserted;
@@ -114,9 +93,9 @@ std::vector<BlockPtr> Synchronizer::prune_below(Round round) {
 
 std::vector<BlockRef> Synchronizer::outstanding() const {
   std::vector<BlockRef> out;
-  out.reserve(missing_refs_.size());
-  for (const auto& [digest, ref] : missing_refs_) {
-    if (!dag_.contains(digest) && !pending_.contains(digest)) out.push_back(ref);
+  out.reserve(waiters_.size());
+  for (const auto& [ref, dependents] : waiters_) {
+    if (!dag_.contains(ref) && !pending_.contains(ref)) out.push_back(ref);
   }
   return out;
 }

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "dag/dag.h"
@@ -29,9 +28,11 @@ class Synchronizer {
 
   // Offers a structurally valid block. Inserts it (and cascades) when its
   // parents are present; otherwise parks it and reports what is missing.
+  // The DAG's insert makes the one presence check per parent. Blocks below
+  // the DAG's GC horizon are dropped.
   Outcome offer(BlockPtr block);
 
-  bool is_pending(const Digest& digest) const { return pending_.contains(digest); }
+  bool is_pending(const BlockRef& ref) const { return pending_.contains(ref); }
   std::size_t pending_count() const { return pending_.size(); }
 
   // Refs currently being waited for (for retry logic).
@@ -44,7 +45,12 @@ class Synchronizer {
   std::vector<BlockPtr> prune_below(Round round);
 
  private:
-  void insert_and_cascade(BlockPtr block, std::vector<BlockPtr>& inserted);
+  // Counts `ref` as present for the pending blocks waiting on it; returns
+  // (and unparks) those with nothing left to wait for.
+  std::vector<BlockPtr> release(const BlockRef& ref);
+  // inserted.back() just entered the DAG: inserts every pending block it
+  // unblocks, transitively, appending each to `inserted`.
+  void cascade(std::vector<BlockPtr>& inserted);
 
   Dag& dag_;
   std::size_t max_pending_;
@@ -53,11 +59,11 @@ class Synchronizer {
     BlockPtr block;
     std::size_t missing_count = 0;
   };
-  std::unordered_map<Digest, Pending, DigestHasher> pending_;
-  // missing parent digest -> digests of pending blocks waiting on it.
-  std::unordered_map<Digest, std::vector<Digest>, DigestHasher> waiters_;
-  // The refs of missing parents (for outstanding()).
-  std::unordered_map<Digest, BlockRef, DigestHasher> missing_refs_;
+  std::unordered_map<BlockRef, Pending, BlockRefHasher> pending_;
+  // Missing parent ref -> refs of the pending blocks waiting on it. A block
+  // satisfies only the key that names its own slot and digest.
+  std::unordered_map<BlockRef, std::vector<BlockRef>, BlockRefHasher> waiters_;
+  std::vector<BlockRef> unknown_;  // offer()'s missing parents, reused
 };
 
 }  // namespace mahimahi

@@ -69,7 +69,7 @@ Actions ValidatorCore::on_block(BlockPtr block, ValidatorId from, TimeMicros now
 
 Actions ValidatorCore::recover_block(BlockPtr block) {
   Actions actions;
-  if (dag_.contains(block->digest())) return actions;
+  if (dag_.contains(block->ref())) return actions;
   if (block->author() == config_.id) {
     // Restore the proposer round even if the block itself cannot be
     // re-inserted: never re-propose (equivocate on) a logged round.
@@ -78,24 +78,22 @@ Actions ValidatorCore::recover_block(BlockPtr block) {
       own_last_block_ = block;
     }
   }
-  if (block->round() < dag_.pruned_below()) {
-    // Below the horizon of a checkpoint installed before this replay: the
-    // record predates the cut and the checkpoint already summarizes it.
-    // Inserting it would plant a round below the pruned horizon that no
-    // later prune can reach.
+  // A block below the horizon of a checkpoint installed before this replay
+  // is not inserted: the record predates the cut and the checkpoint already
+  // summarizes it.
+  std::vector<BlockRef> missing;
+  if (!dag_.insert(block, &missing)) {
+    // Missing parents are possible when the pre-crash validator admitted
+    // this block through the GC exemption (a parent below its pruned horizon
+    // was never inserted, so it is not in the log either). Skip it: the
+    // commit sequence never needs sub-horizon history, and the live
+    // synchronizer re-fetches anything still relevant.
+    if (!missing.empty()) {
+      MM_LOG(kInfo) << "v" << config_.id << " WAL replay skipped "
+                    << block->ref().to_string() << " (parents beyond the GC horizon)";
+    }
     return actions;
   }
-  if (!dag_.parents_present(*block)) {
-    // Possible when the pre-crash validator admitted this block through the
-    // GC exemption (a parent below its pruned horizon was never inserted,
-    // so it is not in the log either). Skip it: the commit sequence never
-    // needs sub-horizon history, and the live synchronizer re-fetches
-    // anything still relevant.
-    MM_LOG(kInfo) << "v" << config_.id << " WAL replay skipped "
-                  << block->ref().to_string() << " (parents beyond the GC horizon)";
-    return actions;
-  }
-  dag_.insert(block);
   note_inserted(block);
   actions.inserted.push_back(block);
   // Replay always commits inline, even in parallel-commit mode: recovery is
@@ -116,9 +114,8 @@ Actions ValidatorCore::on_blocks(std::vector<IngestBlock> items, TimeMicros now)
   batch.reserve(items.size());
   std::unordered_set<Digest, DigestHasher> in_batch;
   for (auto& item : items) {
-    const Digest& digest = item.block->digest();
-    if (dag_.contains(digest) || synchronizer_.is_pending(digest)) continue;
-    if (!in_batch.insert(digest).second) continue;  // duplicate within batch
+    if (knows_block(item.block->ref())) continue;
+    if (!in_batch.insert(item.block->digest()).second) continue;  // duplicate in batch
     if (item.block->round() < dag_.pruned_below()) {
       continue;  // stale: below the GC horizon, can never be delivered
     }
@@ -219,9 +216,7 @@ void ValidatorCore::admit(BlockPtr block, ValidatorId from, TimeMicros now,
                           Actions& actions) {
   // An earlier block of this batch may have cascade-inserted this one (it
   // was parked in the synchronizer); re-check before offering.
-  if (dag_.contains(block->digest()) || synchronizer_.is_pending(block->digest())) {
-    return;
-  }
+  if (knows_block(block->ref())) return;
   // Parked blocks count toward the per-author round watermark too: a late
   // joiner's view of the cluster head is EXACTLY its parked suffix.
   note_author_round(block->author(), block->round());
@@ -297,7 +292,7 @@ Actions ValidatorCore::on_fetch_request(const std::vector<BlockRef>& refs,
   response.peer = from;
   bool below_horizon = false;
   for (const auto& ref : refs) {
-    if (const BlockPtr block = dag_.get(ref.digest)) {
+    if (const BlockPtr block = dag_.get(ref)) {
       if (block->round() > 0) response.blocks.push_back(block);
     } else if (ref.round < dag_.pruned_below()) {
       // We garbage-collected that history; no amount of retrying will ever
@@ -394,7 +389,7 @@ Actions ValidatorCore::install_checkpoint(const CheckpointData& data, TimeMicros
   // cascade. The suffix is round-ascending and the horizon is set, so
   // nothing can report missing parents.
   for (const BlockPtr& block : data.blocks) {
-    if (dag_.contains(block->digest())) continue;
+    if (dag_.contains(block->ref())) continue;
     if (block->author() == config_.id && block->round() > last_proposed_round_) {
       // Our own pre-crash history, coming back to us via a peer's snapshot:
       // restore the proposer round before anything can trigger a proposal.
@@ -423,7 +418,7 @@ Actions ValidatorCore::install_checkpoint(const CheckpointData& data, TimeMicros
     decision.final_decision = true;
     if (d.kind == SlotDecision::Kind::kCommit) {
       decision.ref = d.block;
-      decision.block = dag_.get(d.block.digest);
+      decision.block = dag_.get(d.block);
     }
     decided.push_back(std::move(decision));
   }

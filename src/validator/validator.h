@@ -140,11 +140,11 @@ class ValidatorCore {
   bool parallel_commit_active() const { return split_committer_ != nullptr; }
   const ValidatorConfig& config() const { return config_; }
   Round last_proposed_round() const { return last_proposed_round_; }
-  // Is this digest in the DAG or parked in the synchronizer? Drivers use it
+  // Is this block in the DAG or parked in the synchronizer? Drivers use it
   // as a dedup hint ("safe to drop re-deliveries"); the core's own
   // ingestion-time dedup remains authoritative.
-  bool knows_block(const Digest& digest) const {
-    return dag_.contains(digest) || synchronizer_.is_pending(digest);
+  bool knows_block(const BlockRef& ref) const {
+    return dag_.contains(ref) || synchronizer_.is_pending(ref);
   }
   std::size_t mempool_size() const { return mempool_->size(); }
   const ShardedMempool& mempool() const { return *mempool_; }

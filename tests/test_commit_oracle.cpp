@@ -75,7 +75,7 @@ class Oracle {
     for (const BlockRef& parent : block.parents()) {
       if (parent.round < round) continue;
       if (parent.round == round && parent.author == author) return parent.digest;
-      const BlockPtr next = dag_.get(parent.digest);
+      const BlockPtr next = dag_.get(parent);
       if (next == nullptr || !visited.insert(parent.digest).second) continue;
       if (auto found = voted(*next, author, round, visited)) return found;
     }
@@ -90,7 +90,7 @@ class Oracle {
     std::set<ValidatorId> voters;
     for (const BlockRef& parent : cert.parents()) {
       if (parent.round != vote_round) continue;
-      const BlockPtr vote = dag_.get(parent.digest);
+      const BlockPtr vote = dag_.get(parent);
       if (vote != nullptr && voted(*vote, leader) == leader.digest()) {
         voters.insert(parent.author);
       }
@@ -123,7 +123,7 @@ class Oracle {
       for (const BlockRef& parent : block->parents()) {
         if (parent.round < target.round()) continue;
         if (!visited.insert(parent.digest).second) continue;
-        if (const BlockPtr next = dag_.get(parent.digest)) stack.push_back(next.get());
+        if (const BlockPtr next = dag_.get(parent)) stack.push_back(next.get());
       }
     }
     return false;

@@ -26,12 +26,11 @@ TEST(Dag, InsertAndLookup) {
   EXPECT_EQ(b.dag().block_count(), 8u);
   EXPECT_EQ(b.dag().highest_round(), 1u);
   for (const auto& block : blocks) {
-    EXPECT_TRUE(b.dag().contains(block->digest()));
     EXPECT_TRUE(b.dag().contains(block->ref()));
-    EXPECT_EQ(b.dag().get(block->digest())->digest(), block->digest());
+    EXPECT_EQ(b.dag().get(block->ref())->digest(), block->digest());
   }
-  Digest unknown;
-  unknown.bytes.fill(0xee);
+  BlockRef unknown{.round = 1, .author = 0, .digest = {}};
+  unknown.digest.bytes.fill(0xee);
   EXPECT_FALSE(b.dag().contains(unknown));
   EXPECT_EQ(b.dag().get(unknown), nullptr);
 }
@@ -58,6 +57,39 @@ TEST(Dag, MissingParentThrows) {
   EXPECT_THROW(b.dag().insert(block), std::logic_error);
 }
 
+TEST(Dag, InsertWithMissingParentReportsItAndInsertsNothing) {
+  DagBuilder b(4);
+  b.add_full_round(1);
+  auto setup = Committee::make_test(4);
+  const BlockRef absent{.round = 1, .author = 2, .digest = {}};
+  std::vector<BlockRef> parents;
+  for (const auto& parent : b.dag().blocks_at(1)) parents.push_back(parent->ref());
+  parents[2] = absent;
+  parents[2].digest.bytes.fill(0x55);
+  const auto block = std::make_shared<const Block>(
+      Block::make(0, 2, parents, {}, setup.committee.coin().share(0, 2),
+                  setup.keypairs[0].private_key));
+  std::vector<BlockRef> missing;
+  EXPECT_FALSE(b.dag().insert(block, &missing));
+  EXPECT_EQ(missing, std::vector<BlockRef>{parents[2]});
+  EXPECT_EQ(b.dag().block_count(), 8u);
+  EXPECT_EQ(b.dag().highest_round(), 1u);
+  EXPECT_FALSE(b.dag().contains(block->ref()));
+  EXPECT_THROW(b.dag().insert(block), std::logic_error);
+}
+
+TEST(Dag, GenesisIsSharedAcrossDags) {
+  const auto setup = Committee::make_test(4);
+  const Dag first(setup.committee);
+  const Dag second(setup.committee);
+  for (ValidatorId v = 0; v < 4; ++v) {
+    ASSERT_EQ(first.slot(0, v).size(), 1u);
+    EXPECT_EQ(first.slot(0, v).front().get(), second.slot(0, v).front().get());
+    EXPECT_EQ(first.slot(0, v).front()->digest(),
+              Block::genesis(v, setup.committee.coin()).digest());
+  }
+}
+
 TEST(Dag, EquivocationsShareSlot) {
   DagBuilder b(4);
   b.add_full_round(1);
@@ -73,6 +105,58 @@ TEST(Dag, EquivocationsShareSlot) {
   EXPECT_EQ(b.dag().slot(2, 0).size(), 2u);
   EXPECT_EQ(b.dag().distinct_authors_at(2), 1u);
   EXPECT_EQ(b.dag().blocks_at(2).size(), 2u);
+}
+
+TEST(Dag, EquivocatingSiblingsAreFoundByTheirRefs) {
+  DagBuilder b(4);
+  b.add_full_round(1);
+  std::vector<BlockRef> refs;
+  for (const auto& parent : b.dag().blocks_at(1)) refs.push_back(parent->ref());
+  TxBatch marker;
+  marker.id = 1;
+  const auto first = b.add_block(0, 2, refs);
+  const auto second = b.add_block(0, 2, refs, {marker});
+  const Dag& dag = b.dag();
+  EXPECT_EQ(dag.find(first->ref()), first.get());
+  EXPECT_EQ(dag.find(second->ref()), second.get());
+  EXPECT_EQ(dag.get(second->ref()), second);
+  EXPECT_TRUE(dag.contains(first->ref()));
+  EXPECT_TRUE(dag.contains(second->ref()));
+  EXPECT_EQ(dag.block_count(), 10u);
+  // A third digest in the same cell matches neither sibling.
+  BlockRef other = second->ref();
+  other.digest.bytes.fill(0x31);
+  EXPECT_FALSE(dag.contains(other));
+}
+
+TEST(Dag, RefWithRightDigestButWrongSlotIsAbsent) {
+  DagBuilder b(4);
+  b.build_fully_connected(2);
+  const Dag& dag = b.dag();
+  const BlockPtr block = dag.slot(1, 2).front();
+  BlockRef wrong_round = block->ref();
+  wrong_round.round = 2;
+  BlockRef wrong_author = block->ref();
+  wrong_author.author = 3;
+  for (const BlockRef& ref : {wrong_round, wrong_author}) {
+    EXPECT_EQ(dag.find(ref), nullptr) << ref.to_string();
+    EXPECT_EQ(dag.get(ref), nullptr) << ref.to_string();
+    EXPECT_FALSE(dag.contains(ref)) << ref.to_string();
+  }
+  EXPECT_EQ(dag.find(block->ref()), block.get());
+}
+
+TEST(Dag, ZeroDigestRefToEmptyCellIsAbsent) {
+  DagBuilder b(4);
+  b.add_full_round(1, {1, 2, 3});  // author 0 is silent at round 1
+  const Dag& dag = b.dag();
+  ASSERT_TRUE(dag.slot(1, 0).empty());
+  const BlockRef empty_cell{.round = 1, .author = 0, .digest = {}};
+  EXPECT_EQ(dag.find(empty_cell), nullptr);
+  EXPECT_FALSE(dag.contains(empty_cell));
+  // Past the table and outside the committee as well.
+  EXPECT_FALSE(dag.contains(BlockRef{.round = 7, .author = 1, .digest = {}}));
+  EXPECT_FALSE(dag.contains(BlockRef{.round = 1, .author = 9, .digest = {}}));
 }
 
 TEST(Dag, DistinctAuthorCounting) {
@@ -123,14 +207,56 @@ TEST(Dag, PruneDropsOldRounds) {
   const auto victim = dag.slot(1, 0).front();
   dag.prune_below(3);
   EXPECT_EQ(dag.pruned_below(), 3u);
-  EXPECT_FALSE(dag.contains(victim->digest()));
+  EXPECT_FALSE(dag.contains(victim->ref()));
   EXPECT_TRUE(dag.slot(1, 0).empty());
   EXPECT_EQ(dag.distinct_authors_at(2), 0u);
-  EXPECT_TRUE(dag.contains(dag.slot(3, 0).front()->digest()));
+  EXPECT_TRUE(dag.contains(dag.slot(3, 0).front()->ref()));
   EXPECT_EQ(dag.highest_round(), 5u);
   // Idempotent / monotonic.
   dag.prune_below(2);
   EXPECT_EQ(dag.pruned_below(), 3u);
+}
+
+TEST(Dag, LookupsAndCountFollowThePrunedTable) {
+  DagBuilder b(4);
+  b.build_fully_connected(6);
+  Dag& dag = b.dag();
+  std::vector<BlockPtr> kept;
+  for (Round r = 4; r <= 6; ++r) {
+    for (const auto& block : dag.blocks_at(r)) kept.push_back(block);
+  }
+  const BlockPtr dropped = dag.slot(3, 1).front();
+  dag.prune_below(4);
+  EXPECT_EQ(dag.block_count(), kept.size());
+  for (const auto& block : kept) EXPECT_EQ(dag.find(block->ref()), block.get());
+  EXPECT_FALSE(dag.contains(dropped->ref()));
+  EXPECT_EQ(dag.round_at(3), nullptr);
+
+  // A horizon above every held round empties the table; it then refills
+  // upward from the horizon, starting with a block whose parents all lie
+  // below it.
+  dag.prune_below(9);
+  EXPECT_EQ(dag.block_count(), 0u);
+  for (const auto& block : kept) EXPECT_FALSE(dag.contains(block->ref()));
+  EXPECT_TRUE(dag.blocks_at(6).empty());
+  std::vector<BlockRef> old_parents;
+  for (const auto& block : kept) {
+    if (block->round() == 6) old_parents.push_back(block->ref());
+  }
+  auto setup = Committee::make_test(4);
+  const auto at_horizon = std::make_shared<const Block>(
+      Block::make(1, 9, old_parents, {}, setup.committee.coin().share(1, 9),
+                  setup.keypairs[1].private_key));
+  EXPECT_TRUE(dag.insert(at_horizon));
+  EXPECT_EQ(dag.block_count(), 1u);
+  EXPECT_EQ(dag.find(at_horizon->ref()), at_horizon.get());
+  EXPECT_EQ(dag.distinct_authors_at(9), 1u);
+  // Below the horizon nothing inserts.
+  const auto stale = std::make_shared<const Block>(
+      Block::make(2, 8, old_parents, {}, setup.committee.coin().share(2, 8),
+                  setup.keypairs[2].private_key));
+  EXPECT_FALSE(dag.insert(stale));
+  EXPECT_EQ(dag.block_count(), 1u);
 }
 
 TEST(DagBuilder, FullRoundsSatisfyQuorum) {

@@ -79,9 +79,9 @@ TEST_F(IngestPipelineTest, BadSignatureInBatchRejectsOnlyThatBlock) {
   const Actions actions = core->on_blocks(std::move(batch), 0);
 
   EXPECT_EQ(actions.inserted.size(), 3u);
-  EXPECT_TRUE(core->dag().contains(round1[0]->digest()));
-  EXPECT_TRUE(core->dag().contains(round1[1]->digest()));
-  EXPECT_TRUE(core->dag().contains(round1[3]->digest()));
+  EXPECT_TRUE(core->dag().contains(round1[0]->ref()));
+  EXPECT_TRUE(core->dag().contains(round1[1]->ref()));
+  EXPECT_TRUE(core->dag().contains(round1[3]->ref()));
   EXPECT_EQ(core->blocks_rejected(), 1u);
   EXPECT_EQ(core->ingest_stats().crypto_rejected, 1u);
   EXPECT_EQ(core->ingest_stats().verified, 3u);
@@ -105,7 +105,7 @@ TEST_F(IngestPipelineTest, BadCoinShareRejectsInBatch) {
   const Actions actions = core->on_blocks(std::move(batch), 0);
   EXPECT_EQ(actions.inserted.size(), 2u);
   EXPECT_EQ(core->ingest_stats().crypto_rejected, 1u);
-  EXPECT_FALSE(core->dag().contains(bad_coin->digest()));
+  EXPECT_FALSE(core->dag().contains(bad_coin->ref()));
 }
 
 TEST_F(IngestPipelineTest, StructuralRejectionHappensBeforeCrypto) {

@@ -6,6 +6,7 @@
 // GC interaction: refs below the DAG's pruned horizon count as satisfied.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "sim/dag_builder.h"
@@ -37,7 +38,7 @@ TEST_F(SynchronizerTest, InOrderOfferInsertsImmediately) {
   const auto outcome = sync.offer(block_at(1, 0));
   ASSERT_EQ(outcome.inserted.size(), 1u);
   EXPECT_TRUE(outcome.missing.empty());
-  EXPECT_TRUE(dag_.contains(block_at(1, 0)->digest()));
+  EXPECT_TRUE(dag_.contains(block_at(1, 0)->ref()));
 }
 
 TEST_F(SynchronizerTest, OutOfOrderOfferParksAndReportsMissing) {
@@ -48,8 +49,8 @@ TEST_F(SynchronizerTest, OutOfOrderOfferParksAndReportsMissing) {
   EXPECT_TRUE(outcome.inserted.empty());
   // All four round-1 parents are unknown (own-previous + 2f+1 quorum).
   EXPECT_GE(outcome.missing.size(), 3u);
-  EXPECT_TRUE(sync.is_pending(block->digest()));
-  EXPECT_FALSE(dag_.contains(block->digest()));
+  EXPECT_TRUE(sync.is_pending(block->ref()));
+  EXPECT_FALSE(dag_.contains(block->ref()));
 }
 
 TEST_F(SynchronizerTest, ArrivingParentsCascadeInCausalOrder) {
@@ -70,7 +71,7 @@ TEST_F(SynchronizerTest, ArrivingParentsCascadeInCausalOrder) {
   }
   // Everything (4 + 4 + 1 blocks) is now in the DAG.
   EXPECT_EQ(inserted.size(), 9u);
-  EXPECT_TRUE(dag_.contains(block_at(3, 0)->digest()));
+  EXPECT_TRUE(dag_.contains(block_at(3, 0)->ref()));
   // Causal order within the cascade: every block's parents precede it.
   std::set<Digest> seen;
   for (const auto& block : inserted) {
@@ -103,7 +104,7 @@ TEST_F(SynchronizerTest, PendingBufferIsBounded) {
   // Third parked offer is dropped, not queued.
   sync.offer(block_at(2, 2));
   EXPECT_EQ(sync.pending_count(), 2u);
-  EXPECT_FALSE(sync.is_pending(block_at(2, 2)->digest()));
+  EXPECT_FALSE(sync.is_pending(block_at(2, 2)->ref()));
 }
 
 TEST_F(SynchronizerTest, OutstandingListsEachMissingRefOnce) {
@@ -133,7 +134,7 @@ TEST_F(SynchronizerTest, PruneBelowSatisfiesSubHorizonRefsAndUnblocks) {
   // A round-5 block referencing the missing round-4 block parks.
   const auto child = block_at(5, 3);
   EXPECT_TRUE(sync.offer(child).inserted.empty());
-  ASSERT_TRUE(sync.is_pending(child->digest()));
+  ASSERT_TRUE(sync.is_pending(child->ref()));
 
   // GC moves the horizon past round 4: the missing ref counts as satisfied
   // and the parked block inserts (its round-4 parents are exempt now).
@@ -141,8 +142,8 @@ TEST_F(SynchronizerTest, PruneBelowSatisfiesSubHorizonRefsAndUnblocks) {
   const auto unblocked = sync.prune_below(5);
   ASSERT_EQ(unblocked.size(), 1u);
   EXPECT_EQ(unblocked[0]->digest(), child->digest());
-  EXPECT_TRUE(dag_.contains(child->digest()));
-  EXPECT_FALSE(sync.is_pending(child->digest()));
+  EXPECT_TRUE(dag_.contains(child->ref()));
+  EXPECT_FALSE(sync.is_pending(child->ref()));
 }
 
 TEST_F(SynchronizerTest, PruneBelowDropsStalePendingBlocks) {
@@ -151,15 +152,15 @@ TEST_F(SynchronizerTest, PruneBelowDropsStalePendingBlocks) {
   // Park a round-2 block (round-1 ancestry unknown).
   const auto stale = block_at(2, 0);
   sync.offer(stale);
-  ASSERT_TRUE(sync.is_pending(stale->digest()));
+  ASSERT_TRUE(sync.is_pending(stale->ref()));
 
   // The horizon moves past the parked block itself: it is dropped, not
   // inserted (it can never be delivered).
   dag_.prune_below(3);
   const auto unblocked = sync.prune_below(3);
   EXPECT_TRUE(unblocked.empty());
-  EXPECT_FALSE(sync.is_pending(stale->digest()));
-  EXPECT_FALSE(dag_.contains(stale->digest()));
+  EXPECT_FALSE(sync.is_pending(stale->ref()));
+  EXPECT_FALSE(dag_.contains(stale->ref()));
 }
 
 TEST_F(SynchronizerTest, AncestorBelowPeerHorizonStaysPendingForever) {
@@ -173,15 +174,78 @@ TEST_F(SynchronizerTest, AncestorBelowPeerHorizonStaysPendingForever) {
   Synchronizer sync(dag_, 1000);
   const auto block = block_at(3, 0);
   sync.offer(block);
-  ASSERT_TRUE(sync.is_pending(block->digest()));
+  ASSERT_TRUE(sync.is_pending(block->ref()));
   const std::size_t outstanding = sync.outstanding().size();
   ASSERT_GT(outstanding, 0u);
   // No matter how often the driver retries, the picture never changes.
   for (int attempt = 0; attempt < 5; ++attempt) {
     EXPECT_TRUE(sync.offer(block).missing.empty()) << "re-offer must not re-request";
-    EXPECT_TRUE(sync.is_pending(block->digest()));
+    EXPECT_TRUE(sync.is_pending(block->ref()));
     EXPECT_EQ(sync.outstanding().size(), outstanding);
   }
+}
+
+TEST_F(SynchronizerTest, ParentCitedAtTheWrongSlotStaysMissingForever) {
+  // A block citing a real parent's digest under another author's slot: the
+  // reference never resolves, even once that parent is in the DAG.
+  build(1);
+  const BlockPtr parent = block_at(1, 1);
+  BlockRef mislabeled = parent->ref();
+  mislabeled.author = 3;
+  const std::vector<BlockRef> parents{block_at(1, 0)->ref(), block_at(1, 2)->ref(),
+                                      mislabeled};
+  auto setup = Committee::make_test(4);
+  const auto child = std::make_shared<const Block>(
+      Block::make(0, 2, parents, {}, setup.committee.coin().share(0, 2),
+                  setup.keypairs[0].private_key));
+
+  Synchronizer sync(dag_, 1000);
+  const auto parked = sync.offer(child);
+  EXPECT_TRUE(parked.inserted.empty());
+  EXPECT_NE(std::find(parked.missing.begin(), parked.missing.end(), mislabeled),
+            parked.missing.end());
+
+  for (ValidatorId v = 0; v < 4; ++v) {
+    EXPECT_NO_THROW(sync.offer(block_at(1, v)));
+  }
+  EXPECT_TRUE(dag_.contains(parent->ref()));
+  EXPECT_TRUE(sync.is_pending(child->ref()));
+  EXPECT_FALSE(dag_.contains(child->ref()));
+  EXPECT_EQ(sync.outstanding(), std::vector<BlockRef>{mislabeled});
+}
+
+TEST(SynchronizerCatchup, InstallAboveEveryHeldRoundIndexesTheSuffix) {
+  // A fresh core holds only genesis; a peer's checkpoint horizon lies above
+  // it, so the install empties the DAG's table and refills it from the
+  // suffix.
+  Committee::TestSetup setup = Committee::make_test(4);
+  DagBuilder builder(4);
+  builder.build_fully_connected(30);
+  ValidatorConfig config;
+  config.observer = true;
+  config.committer.gc_depth = 8;
+  config.validation.verify_signature = false;
+  config.validation.verify_coin_share = false;
+  ValidatorCore ahead(setup.committee, setup.keypairs[0].private_key, config);
+  for (Round r = 1; r <= 30; ++r) {
+    for (ValidatorId v = 0; v < 4; ++v) {
+      ahead.on_block(builder.dag().slot(r, v).front(), v, 0);
+    }
+  }
+  const CheckpointData data = ahead.capture_checkpoint();
+  ASSERT_GT(data.horizon, 1u);
+
+  ValidatorCore fresh(setup.committee, setup.keypairs[1].private_key, config);
+  fresh.install_checkpoint(data, 0);
+  const Dag& dag = fresh.dag();
+  EXPECT_EQ(dag.pruned_below(), data.horizon);
+  EXPECT_EQ(dag.block_count(), data.blocks.size());
+  for (const BlockPtr& block : data.blocks) {
+    EXPECT_TRUE(dag.contains(block->ref())) << block->ref().to_string();
+  }
+  EXPECT_FALSE(dag.contains(setup.committee.genesis()[0]->ref()));
+  EXPECT_EQ(dag.round_at(data.horizon - 1), nullptr);
+  EXPECT_EQ(dag.block_count(), ahead.dag().block_count());
 }
 
 TEST(SynchronizerCatchup, CoreRetriesForeverBelowPeerHorizonWithoutSnapshots) {
@@ -230,7 +294,7 @@ TEST(SynchronizerCatchup, CoreRetriesForeverBelowPeerHorizonWithoutSnapshots) {
   }
   EXPECT_GT(retries, 5u) << "the walk must keep retrying";
   EXPECT_EQ(late.committer().next_pending_slot().round, 1u) << "no progress, ever";
-  EXPECT_TRUE(late.dag().get(builder.dag().slot(horizon, 0).front()->digest()) ==
+  EXPECT_TRUE(late.dag().get(builder.dag().slot(horizon, 0).front()->ref()) ==
               nullptr)
       << "the parked block can never insert";
 }
@@ -247,7 +311,7 @@ TEST_F(SynchronizerTest, OffersBelowHorizonReportNoSubHorizonMissing) {
     EXPECT_GE(ref.round, 3u) << "requested a ref below the GC horizon";
   }
   ASSERT_EQ(outcome.inserted.size(), 1u);
-  EXPECT_TRUE(dag_.contains(block->digest()));
+  EXPECT_TRUE(dag_.contains(block->ref()));
 }
 
 }  // namespace

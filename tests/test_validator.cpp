@@ -111,7 +111,7 @@ TEST_F(ValidatorTest, RejectsInvalidBlocks) {
   const Actions actions = validator->on_block(forged, 1, 0);
   EXPECT_TRUE(actions.inserted.empty());
   EXPECT_EQ(validator->blocks_rejected(), 1u);
-  EXPECT_FALSE(validator->dag().contains(forged->digest()));
+  EXPECT_FALSE(validator->dag().contains(forged->ref()));
 }
 
 TEST_F(ValidatorTest, FetchesMissingParents) {
@@ -147,7 +147,7 @@ TEST_F(ValidatorTest, FetchesMissingParents) {
   for (const auto& block : served.responses[0].blocks) {
     final_actions.merge(v0->on_block(block, 1, 4));
   }
-  EXPECT_TRUE(v0->dag().contains(round2_block->digest()));
+  EXPECT_TRUE(v0->dag().contains(round2_block->ref()));
 }
 
 TEST_F(ValidatorTest, FetchRetryRotatesPeers) {
@@ -303,7 +303,7 @@ TEST_F(ValidatorTest, RecoverRestoresProposerRound) {
   EXPECT_EQ(recovered->last_proposed_round(), 1u);
   const Actions tick = recovered->on_tick(1);
   EXPECT_TRUE(tick.broadcast.empty());
-  EXPECT_TRUE(recovered->dag().contains(own1->digest()));
+  EXPECT_TRUE(recovered->dag().contains(own1->ref()));
 }
 
 TEST_F(ValidatorTest, DuplicateDeliveryIsIdempotent) {

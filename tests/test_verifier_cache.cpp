@@ -78,8 +78,8 @@ TEST(VerifierCache, SharedAcrossCoresVerifiesOncePerBlock) {
   v1->on_block(block, 2, 0);
   EXPECT_EQ(cache->misses(), 1u);
   EXPECT_EQ(cache->hits(), 1u);
-  EXPECT_TRUE(v0->dag().contains(block->digest()));
-  EXPECT_TRUE(v1->dag().contains(block->digest()));
+  EXPECT_TRUE(v0->dag().contains(block->ref()));
+  EXPECT_TRUE(v1->dag().contains(block->ref()));
 }
 
 TEST(VerifierCache, ForgedBlocksAreNeverCached) {

@@ -175,7 +175,7 @@ TEST_F(WalTest, ValidatorCrashRecoveryDoesNotEquivocate) {
   for (const auto& block : tick.broadcast) {
     EXPECT_NE(block->round(), 1u) << "recovered validator re-proposed round 1";
   }
-  EXPECT_TRUE(recovered.dag().contains(first_proposal->digest()));
+  EXPECT_TRUE(recovered.dag().contains(first_proposal->ref()));
 }
 
 TEST(NullWalTest, DurabilityAckIsSynchronous) {
