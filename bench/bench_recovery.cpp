@@ -7,10 +7,14 @@
 // checkpoint interval caps independently of history length.
 //
 //   BM_RecoveryReplayMonolithic/N        full FileWal::replay of N records
-//   BM_RecoveryReplayCheckpointSuffix/N  CheckpointStore load + decode, plus
-//                                        SegmentedWal::replay of the bounded
-//                                        suffix (same fixed interval at every
-//                                        N — that is the point)
+//   BM_RecoveryReplayCheckpointSuffix/N  N records written through a
+//                                        segmented WAL with a blockless cut
+//                                        every kSuffixRecords, retired by the
+//                                        shared rule (SegmentRetention); then
+//                                        CheckpointStore load + decode plus
+//                                        SegmentedWal::replay of the retained
+//                                        segments (bounded at every N — that
+//                                        is the point)
 //
 // Compare PerRecordNs across N for the monolithic series: it must stay flat
 // (the replay scratch buffer is shared and reused — a per-record allocation
@@ -21,13 +25,15 @@
 //
 // Catch-up transfer (incremental checkpoints, checkpoint/delta.h):
 //
-//   BM_RecoveryCatchupMonolithic/N   a refreshing peer is shipped the full
-//                                    newest cut — CatchupBytes grows with
+//   BM_RecoveryCatchupMonolithic/N   a refreshing peer is shipped a chain
+//                                    frame with the full newest cut and its
+//                                    live suffix — CatchupBytes grows with
 //                                    the N-record app history it re-sends
 //   BM_RecoveryCatchupDeltaChain/N   the peer already holds the chain's
-//                                    base; it is shipped only the delta
-//                                    links (touched keys + decided suffix),
-//                                    so CatchupBytes must stay sublinear in
+//                                    base; it is shipped a frame with only
+//                                    the delta links (touched keys + decided
+//                                    suffix) and the same live suffix, so
+//                                    CatchupBytes must stay sublinear in
 //                                    N — the benchmark fails itself if the
 //                                    delta series' bytes grow at even half
 //                                    the rate of the history
@@ -57,9 +63,14 @@ using namespace mahimahi;
 
 namespace fs = std::filesystem;
 
-// Records since the last checkpoint cut — what the suffix replay pays no
-// matter how long the validator has been running.
+// Records between checkpoint cuts — with the retention lag below, what the
+// suffix replay pays no matter how long the validator has been running.
 constexpr std::size_t kSuffixRecords = 1024;
+// The replayed log's records stand for rounds of a 4-validator committee,
+// and each cut's GC horizon trails the logged round by this many rounds:
+// the inputs the shared retention rule sees from a real writer.
+constexpr std::size_t kRecordsPerRound = 4;
+constexpr Round kHorizonLagRounds = 64;
 
 std::string bench_dir(const char* tag) {
   const auto dir = fs::temp_directory_path() /
@@ -201,7 +212,7 @@ BENCHMARK(BM_RecoveryReplayMonolithic)
 
 void BM_RecoveryReplayCheckpointSuffix(benchmark::State& state) {
   // `records` is the history length; the checkpoint path replays only the
-  // bounded suffix regardless — the flat line next to the monolithic series
+  // retained suffix regardless — the flat line next to the monolithic series
   // IS the subsystem's value proposition.
   const auto records = static_cast<std::size_t>(state.range(0));
   const std::string dir = bench_dir("ckpt");
@@ -210,10 +221,23 @@ void BM_RecoveryReplayCheckpointSuffix(benchmark::State& state) {
     SegmentedWalOptions options;
     options.segment_bytes = 256 * 1024;
     SegmentedWal seg(dir, options);
-    build = write_records(seg, std::min(records, kSuffixRecords));
     CheckpointStore store(dir);
+    SegmentRetention retention;
     const Bytes& encoded = checkpoint_bytes();
-    store.write(1, {encoded.data(), encoded.size()});
+    std::uint64_t sequence = 0;
+    Round base_horizon = 0;
+    for (std::size_t written = 0; written < records;) {
+      const std::size_t chunk = std::min(kSuffixRecords, records - written);
+      build = write_records(seg, chunk);
+      written += chunk;
+      // A base cut: retire what only the replaced chain's recovery needed.
+      const Round logged_round = written / kRecordsPerRound;
+      retention.note_cut(logged_round, seg.active_segment());
+      store.write(++sequence, {encoded.data(), encoded.size()});
+      seg.retire_segments_below(retention.keep_from(base_horizon));
+      store.retire(2);
+      base_horizon = logged_round > kHorizonLagRounds ? logged_round - kHorizonLagRounds : 0;
+    }
   }
   std::uint64_t replayed = 0;
   FileWal::Visitor visitor;
@@ -222,15 +246,15 @@ void BM_RecoveryReplayCheckpointSuffix(benchmark::State& state) {
     replayed = 0;
     CheckpointStore store(dir);
     auto data = store.load_newest_valid();
-    benchmark::DoNotOptimize(data->blocks.size());
+    benchmark::DoNotOptimize(data->decided.size());
     const auto result = SegmentedWal::replay(dir, visitor);
     benchmark::DoNotOptimize(result.records);
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * std::min(records, kSuffixRecords)));
-  if (const std::size_t suffix = std::min(records, kSuffixRecords); suffix > 0) {
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * replayed));
+  state.counters["ReplayedRecords"] = static_cast<double>(replayed);
+  if (records > 0) {
     state.counters["LogBuildSyscallsPerRecord"] =
-        static_cast<double>(build.syscalls) / static_cast<double>(suffix);
+        static_cast<double>(build.syscalls) / static_cast<double>(records);
   }
   fs::remove_all(dir);
 }
@@ -252,6 +276,10 @@ struct CatchupFixture {
   Bytes base;                 // the cut the refreshing peer already holds
   std::vector<Bytes> deltas;  // the links the delta path ships
   Bytes monolithic;           // the full tip cut the monolithic path ships
+  // The chain frames each path puts on the wire: its records plus the tip's
+  // live suffix section.
+  Bytes monolithic_frame;
+  Bytes delta_frame;
 };
 
 // Real core-driven cuts (four capture points, heads advancing) with the app
@@ -313,6 +341,15 @@ const CatchupFixture& catchup_fixture(std::size_t records) {
     prev = std::move(next);
   }
   fixture.monolithic = encode_checkpoint(prev);
+  const std::vector<BlockPtr> suffix = checkpoint_suffix(core.dag(), prev.horizon);
+  fixture.monolithic_frame = encode_checkpoint_chain_frame(
+      {{BytesView{fixture.monolithic.data(), fixture.monolithic.size()}, BytesView{}}},
+      suffix);
+  std::vector<std::pair<BytesView, BytesView>> links;
+  for (const Bytes& link : fixture.deltas) {
+    links.emplace_back(BytesView{link.data(), link.size()}, BytesView{});
+  }
+  fixture.delta_frame = encode_checkpoint_chain_frame(links, suffix);
   return cache.emplace(records, std::move(fixture)).first->second;
 }
 
@@ -346,9 +383,12 @@ void BM_RecoveryCatchupMonolithic(benchmark::State& state) {
   const auto records = static_cast<std::size_t>(state.range(0));
   const CatchupFixture& fixture = catchup_fixture(records);
   for (auto _ : state) {
-    // The wire carries the full tip cut; the joiner decodes and restores.
-    const CheckpointData tip = decode_checkpoint(
-        {fixture.monolithic.data(), fixture.monolithic.size()});
+    // The wire carries the full tip cut and its suffix; the joiner decodes
+    // and restores.
+    const CheckpointChainFrame frame = decode_checkpoint_chain_frame(
+        {fixture.monolithic_frame.data(), fixture.monolithic_frame.size()});
+    const Bytes& record = frame.links.front().record;
+    const CheckpointData tip = decode_checkpoint({record.data(), record.size()});
     const app::KvStore kv =
         app::KvStore::restore({tip.app_state.data(), tip.app_state.size()});
     if (kv.state_digest() != tip.app_digest) {
@@ -358,7 +398,7 @@ void BM_RecoveryCatchupMonolithic(benchmark::State& state) {
     benchmark::DoNotOptimize(kv.state_digest());
   }
   check_catchup_bytes(state, "monolithic",
-                      static_cast<double>(fixture.monolithic.size()),
+                      static_cast<double>(fixture.monolithic_frame.size()),
                       static_cast<double>(records));
 }
 BENCHMARK(BM_RecoveryCatchupMonolithic)
@@ -373,15 +413,13 @@ void BM_RecoveryCatchupDeltaChain(benchmark::State& state) {
   // The joiner's installed state: the chain's base, decoded once.
   const CheckpointData base =
       decode_checkpoint({fixture.base.data(), fixture.base.size()});
-  double wire_bytes = 0;
-  for (const Bytes& link : fixture.deltas) {
-    wire_bytes += static_cast<double>(link.size());
-  }
   for (auto _ : state) {
+    const CheckpointChainFrame frame = decode_checkpoint_chain_frame(
+        {fixture.delta_frame.data(), fixture.delta_frame.size()});
     CheckpointData data = base;
-    for (const Bytes& link : fixture.deltas) {
+    for (const auto& link : frame.links) {
       apply_checkpoint_delta(
-          data, decode_checkpoint_delta({link.data(), link.size()}));
+          data, decode_checkpoint_delta({link.record.data(), link.record.size()}));
     }
     const app::KvStore kv =
         app::KvStore::restore({data.app_state.data(), data.app_state.size()});
@@ -391,7 +429,8 @@ void BM_RecoveryCatchupDeltaChain(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(kv.state_digest());
   }
-  check_catchup_bytes(state, "delta-chain", wire_bytes,
+  check_catchup_bytes(state, "delta-chain",
+                      static_cast<double>(fixture.delta_frame.size()),
                       static_cast<double>(records));
 }
 BENCHMARK(BM_RecoveryCatchupDeltaChain)

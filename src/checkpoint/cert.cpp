@@ -136,11 +136,8 @@ CheckpointCertificate decode_checkpoint_certificate(BytesView encoded) {
   cert.payload.head = read_slot(r);
   cert.payload.decided_digest = r.digest();
   cert.payload.app_digest = r.digest();
-  const std::uint64_t count = r.varint();
-  constexpr std::size_t kShareBytes = 68;  // signer(4) + signature(64)
-  if (count > r.remaining() / kShareBytes) {
-    throw serde::SerdeError("certificate: share count exceeds payload");
-  }
+  // signer(4) + signature(64)
+  const std::uint64_t count = r.count(68, "certificate: share");
   cert.multisig.shares.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     crypto::MultisigShare share;
@@ -272,8 +269,10 @@ ChainVerifyResult verify_checkpoint_chain(const CheckpointChainFrame& frame,
     return result;
   }
 
-  result.error = verify_checkpoint(result.data, committee, options, validation, cache);
+  result.error = verify_checkpoint(result.data, frame.suffix, committee, options,
+                                   validation, cache);
   if (!result.error.empty()) return result;
+  result.suffix = frame.suffix;
 
   result.certified = all_certified;
   return result;

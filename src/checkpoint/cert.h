@@ -118,10 +118,11 @@ std::string verify_checkpoint_certificate(const CheckpointCertificate& cert,
 // --- Chain verification ------------------------------------------------------
 
 struct ChainVerifyResult {
-  CheckpointData data;     // the reconstructed newest cut
-  bool certified = false;  // every link carried a valid certificate
+  CheckpointData data;           // the reconstructed newest cut
+  std::vector<BlockPtr> suffix;  // its verified live suffix, to install with it
+  bool certified = false;        // every link carried a valid certificate
   std::size_t links = 0;
-  std::string error;       // non-empty = refuse the chain
+  std::string error;             // non-empty = refuse the chain
 };
 
 // Decodes, reconstructs and verifies a received base+delta chain:
@@ -133,7 +134,9 @@ struct ChainVerifyResult {
 //   * any PRESENT certificate must be valid AND bind its link exactly
 //     (boundary head, cut index, decided-log digest, app digest) — a
 //     certified-but-mismatched link is refused, never downgraded;
-//   * the final cut passes verify_checkpoint (structure + block crypto).
+//   * the final cut, with the frame's suffix section, passes
+//     verify_checkpoint (structure, horizon, committed slots backed by a
+//     suffix block, batched block crypto).
 //
 // `certified` is true only when EVERY link carried a valid certificate; the
 // caller routes uncertified chains through the legacy-trust path.

@@ -22,7 +22,9 @@ namespace mahimahi {
 
 namespace {
 
-constexpr std::uint32_t kCheckpointMagic = 0x4d4d434b;  // "MMCK"
+// Distinct from the earlier block-carrying format's "MMCK", so such a file
+// fails decode and takes the corrupt-record fallback.
+constexpr std::uint32_t kCheckpointMagic = 0x4d4d4332;  // "MMC2"
 constexpr std::uint8_t kCheckpointVersion = 1;
 
 void write_slot(serde::Writer& w, SlotId slot) {
@@ -37,110 +39,30 @@ SlotId read_slot(serde::Reader& r) {
   return slot;
 }
 
-void write_ref(serde::Writer& w, const BlockRef& ref) {
-  w.varint(ref.round);
-  w.u32(ref.author);
-  w.digest(ref.digest);
-}
-
-BlockRef read_ref(serde::Reader& r) {
-  BlockRef ref;
-  ref.round = r.varint();
-  ref.author = r.u32();
-  ref.digest = r.digest();
-  return ref;
-}
-
 }  // namespace
 
-std::size_t checkpoint_record_capacity(std::size_t decided, std::size_t delivered,
-                                       std::span<const BlockPtr> blocks,
-                                       std::size_t app_bytes) {
-  constexpr std::size_t kVarint = 10;  // the longest LEB128 u64
-  constexpr std::size_t kSlot = kVarint + 4;
-  constexpr std::size_t kRef = kVarint + 4 + sizeof(Digest);
-  // Frame header, magic, version, up to three u64 sequences, the author and
-  // up to four slots or varints (a delta's horizon, two heads and proposer
-  // round); then the four list and length prefixes and the app digest.
-  constexpr std::size_t kFixed = 8 + 4 + 1 + 3 * 8 + 4 + 4 * kSlot + 4 * kVarint + sizeof(Digest);
-  std::size_t size = kFixed + decided * (kSlot + 4 + 2 + kRef) +
-                     delivered * (sizeof(Digest) + kVarint) + app_bytes;
-  for (const BlockPtr& block : blocks) size += kVarint + block->encoded_size();
-  return size;
-}
-
-Bytes encode_checkpoint(const CheckpointData& data) {
-  serde::Writer w(checkpoint_record_capacity(data.decided.size(), data.delivered.size(),
-                                             data.blocks, data.app_state.size()));
-  wal_begin_record(w);
-  w.u32(kCheckpointMagic);
-  w.u8(kCheckpointVersion);
-  w.u64(data.sequence);
-  w.u32(data.author);
-  w.varint(data.horizon);
-  write_slot(w, data.head);
-  w.varint(data.last_proposed_round);
-
-  w.varint(data.decided.size());
-  for (const auto& d : data.decided) {
+void write_decided_log(serde::Writer& w,
+                       std::span<const CheckpointData::DecidedSlot> decided) {
+  w.varint(decided.size());
+  for (const auto& d : decided) {
     write_slot(w, d.slot);
     w.u32(d.leader);
     w.u8(static_cast<std::uint8_t>(d.kind));
     w.u8(static_cast<std::uint8_t>(d.via));
-    if (d.kind == SlotDecision::Kind::kCommit) write_ref(w, d.block);
+    if (d.kind == SlotDecision::Kind::kCommit) {
+      w.varint(d.block.round);
+      w.u32(d.block.author);
+      w.digest(d.block.digest);
+    }
   }
-
-  w.varint(data.delivered.size());
-  for (const auto& [digest, round] : data.delivered) {
-    w.digest(digest);
-    w.varint(round);
-  }
-
-  w.varint(data.blocks.size());
-  for (const BlockPtr& block : data.blocks) {
-    w.varint(block->encoded_size());
-    block->serialize_into(w);
-  }
-
-  w.bytes({data.app_state.data(), data.app_state.size()});
-  w.digest(data.app_digest);
-
-  return wal_finish_record(std::move(w));
 }
 
-CheckpointData decode_checkpoint(BytesView encoded) {
-  serde::Reader framing(encoded);
-  const std::uint32_t len = framing.u32();
-  const std::uint32_t crc = framing.u32();
-  if (len != framing.remaining()) {
-    throw serde::SerdeError("checkpoint: frame length mismatch");
-  }
-  const BytesView payload = framing.raw(len);
-  if (crc32(payload) != crc) throw serde::SerdeError("checkpoint: CRC mismatch");
-
-  serde::Reader r(payload);
-  if (r.u32() != kCheckpointMagic) throw serde::SerdeError("checkpoint: bad magic");
-  if (r.u8() != kCheckpointVersion) throw serde::SerdeError("checkpoint: bad version");
-
-  CheckpointData data;
-  data.sequence = r.u64();
-  data.author = r.u32();
-  data.horizon = r.varint();
-  data.head = read_slot(r);
-  data.last_proposed_round = r.varint();
-
-  // Element counts come off the wire (snapshot catch-up), so they are
-  // attacker-controlled: bound each against the bytes actually present
-  // (count * minimum encoded element size must fit in what remains) BEFORE
-  // reserving. A claimed 2^60 elements must be a SerdeError the caller
-  // already handles, not a std::length_error out of vector::reserve.
-  const std::uint64_t decided_count = r.varint();
-  constexpr std::size_t kMinDecidedBytes = 11;  // slot(1+4) + leader(4) + kind + via
-  if (decided_count > r.remaining() / kMinDecidedBytes) {
-    throw serde::SerdeError("checkpoint: decided count exceeds payload");
-  }
-  data.decided.reserve(decided_count);
-  for (std::uint64_t i = 0; i < decided_count; ++i) {
+std::vector<CheckpointData::DecidedSlot> read_decided_log(serde::Reader& r) {
+  // slot(1+4) + leader(4) + kind + via
+  const std::uint64_t count = r.count(11, "checkpoint: decided");
+  std::vector<CheckpointData::DecidedSlot> decided;
+  decided.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
     CheckpointData::DecidedSlot d;
     d.slot = read_slot(r);
     d.leader = r.u32();
@@ -154,42 +76,111 @@ CheckpointData decode_checkpoint(BytesView encoded) {
       throw serde::SerdeError("checkpoint: bad decision via");
     }
     d.via = static_cast<SlotDecision::Via>(via);
-    if (d.kind == SlotDecision::Kind::kCommit) d.block = read_ref(r);
-    data.decided.push_back(d);
-  }
-
-  const std::uint64_t delivered_count = r.varint();
-  constexpr std::size_t kMinDeliveredBytes = 33;  // digest(32) + round varint(1)
-  if (delivered_count > r.remaining() / kMinDeliveredBytes) {
-    throw serde::SerdeError("checkpoint: delivered count exceeds payload");
-  }
-  data.delivered.reserve(delivered_count);
-  for (std::uint64_t i = 0; i < delivered_count; ++i) {
-    const Digest digest = r.digest();
-    data.delivered.emplace_back(digest, r.varint());
-  }
-
-  const std::uint64_t block_count = r.varint();
-  if (block_count > r.remaining()) {  // each block costs at least its length varint
-    throw serde::SerdeError("checkpoint: block count exceeds payload");
-  }
-  data.blocks.reserve(block_count);
-  for (std::uint64_t i = 0; i < block_count; ++i) {
-    const std::uint64_t block_len = r.varint();
-    if (block_len > r.remaining()) {
-      throw serde::SerdeError("checkpoint: block length exceeds payload");
+    if (d.kind == SlotDecision::Kind::kCommit) {
+      d.block.round = r.varint();
+      d.block.author = r.u32();
+      d.block.digest = r.digest();
     }
-    data.blocks.push_back(std::make_shared<const Block>(
-        Block::deserialize(r.raw(static_cast<std::size_t>(block_len)))));
+    decided.push_back(d);
   }
+  return decided;
+}
 
+void write_delivered_marks(serde::Writer& w,
+                           std::span<const std::pair<Digest, Round>> marks) {
+  w.varint(marks.size());
+  for (const auto& [digest, round] : marks) {
+    w.digest(digest);
+    w.varint(round);
+  }
+}
+
+std::vector<std::pair<Digest, Round>> read_delivered_marks(serde::Reader& r) {
+  // digest(32) + round varint(1)
+  const std::uint64_t count = r.count(33, "checkpoint: delivered");
+  std::vector<std::pair<Digest, Round>> marks;
+  marks.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const Digest digest = r.digest();
+    marks.emplace_back(digest, r.varint());
+  }
+  return marks;
+}
+
+BytesView open_checkpoint_record(BytesView encoded, std::uint32_t magic,
+                                 const char* what) {
+  serde::Reader framing(encoded);
+  const std::uint32_t len = framing.u32();
+  const std::uint32_t crc = framing.u32();
+  if (len != framing.remaining()) {
+    throw serde::SerdeError(std::string(what) + ": frame length mismatch");
+  }
+  const BytesView payload = framing.raw(len);
+  if (crc32(payload) != crc) throw serde::SerdeError(std::string(what) + ": CRC mismatch");
+  serde::Reader r(payload);
+  if (r.u32() != magic) throw serde::SerdeError(std::string(what) + ": bad magic");
+  return payload.subspan(sizeof(std::uint32_t));
+}
+
+std::size_t checkpoint_record_capacity(std::size_t decided, std::size_t delivered,
+                                       std::size_t app_bytes) {
+  constexpr std::size_t kVarint = 10;  // the longest LEB128 u64
+  constexpr std::size_t kSlot = kVarint + 4;
+  constexpr std::size_t kRef = kVarint + 4 + sizeof(Digest);
+  // Frame header, magic, version, up to three u64 sequences, the author and
+  // up to four slots or varints (a delta's horizon, two heads and proposer
+  // round); then the three list and length prefixes and the app digest.
+  constexpr std::size_t kFixed = 8 + 4 + 1 + 3 * 8 + 4 + 4 * kSlot + 3 * kVarint + sizeof(Digest);
+  return kFixed + decided * (kSlot + 4 + 2 + kRef) +
+         delivered * (sizeof(Digest) + kVarint) + app_bytes;
+}
+
+Bytes encode_checkpoint(const CheckpointData& data) {
+  serde::Writer w(checkpoint_record_capacity(data.decided.size(), data.delivered.size(),
+                                             data.app_state.size()));
+  wal_begin_record(w);
+  w.u32(kCheckpointMagic);
+  w.u8(kCheckpointVersion);
+  w.u64(data.sequence);
+  w.u32(data.author);
+  w.varint(data.horizon);
+  write_slot(w, data.head);
+  w.varint(data.last_proposed_round);
+  write_decided_log(w, data.decided);
+  write_delivered_marks(w, data.delivered);
+  w.bytes({data.app_state.data(), data.app_state.size()});
+  w.digest(data.app_digest);
+  return wal_finish_record(std::move(w));
+}
+
+CheckpointData decode_checkpoint(BytesView encoded) {
+  serde::Reader r(open_checkpoint_record(encoded, kCheckpointMagic, "checkpoint"));
+  if (r.u8() != kCheckpointVersion) throw serde::SerdeError("checkpoint: bad version");
+  CheckpointData data;
+  data.sequence = r.u64();
+  data.author = r.u32();
+  data.horizon = r.varint();
+  data.head = read_slot(r);
+  data.last_proposed_round = r.varint();
+  data.decided = read_decided_log(r);
+  data.delivered = read_delivered_marks(r);
   data.app_state = r.bytes();
   data.app_digest = r.digest();
   r.expect_done();
   return data;
 }
 
-std::string verify_checkpoint(const CheckpointData& data, const Committee& committee,
+std::vector<BlockPtr> checkpoint_suffix(const Dag& dag, Round horizon) {
+  std::vector<BlockPtr> suffix;
+  for (Round r = std::max<Round>(1, horizon); r <= dag.highest_round(); ++r) {
+    for (const BlockPtr& block : dag.blocks_at(r)) suffix.push_back(block);
+  }
+  return suffix;
+}
+
+std::string verify_checkpoint(const CheckpointData& data,
+                              std::span<const BlockPtr> suffix,
+                              const Committee& committee,
                               const CommitterOptions& options,
                               const ValidationOptions& validation,
                               VerifierCache* cache) {
@@ -209,7 +200,7 @@ std::string verify_checkpoint(const CheckpointData& data, const Committee& commi
 
   // The suffix: round-ascending, at or above the horizon, structurally valid.
   Round previous = 0;
-  for (const BlockPtr& block : data.blocks) {
+  for (const BlockPtr& block : suffix) {
     if (block->round() < data.horizon || block->round() == 0) {
       return "suffix block below horizon";
     }
@@ -225,20 +216,19 @@ std::string verify_checkpoint(const CheckpointData& data, const Committee& commi
   // in the suffix — the analogue of checking the snapshot against the
   // committed chain: an installed committer must be able to point at the
   // agreed leader blocks it claims were committed.
-  std::unordered_set<Digest, DigestHasher> suffix;
-  for (const BlockPtr& block : data.blocks) suffix.insert(block->digest());
+  std::unordered_set<Digest, DigestHasher> present;
+  for (const BlockPtr& block : suffix) present.insert(block->digest());
   for (const auto& d : data.decided) {
     if (d.kind != SlotDecision::Kind::kCommit) continue;
-    if (d.block.round >= data.horizon && !suffix.contains(d.block.digest)) {
+    if (d.block.round >= data.horizon && !present.contains(d.block.digest)) {
       return "committed block missing from suffix";
     }
   }
 
   // Crypto last (the expensive part): batched coin/signature verification of
   // the whole suffix, exactly what live ingestion would have paid.
-  const CryptoStageResult stage =
-      run_crypto_stage(data.blocks, committee, validation, cache);
-  for (std::size_t i = 0; i < data.blocks.size(); ++i) {
+  const CryptoStageResult stage = run_crypto_stage(suffix, committee, validation, cache);
+  for (std::size_t i = 0; i < suffix.size(); ++i) {
     if (stage.verdicts[i] != BlockValidity::kValid) {
       return "suffix block failed crypto: " + to_string(stage.verdicts[i]);
     }
@@ -329,27 +319,6 @@ void CheckpointStore::write_cert(std::uint64_t sequence, BytesView encoded) {
   write_file_atomic(cert_path(dir_, sequence), encoded, "CheckpointStore");
 }
 
-std::optional<std::pair<std::uint64_t, Bytes>> CheckpointStore::newest_valid_bytes()
-    const {
-  auto sequences = list(dir_);
-  for (auto it = sequences.rbegin(); it != sequences.rend(); ++it) {
-    auto bytes = read_whole_file(checkpoint_path(dir_, *it));
-    if (!bytes.has_value()) continue;
-    // std::exception, not just SerdeError: a corrupt file can also surface
-    // as an allocation failure (e.g. Block::deserialize on garbage), and
-    // recovery must fall back a checkpoint, not die.
-    try {
-      decode_checkpoint({bytes->data(), bytes->size()});  // CRC + shape gate
-    } catch (const std::exception& error) {
-      MM_LOG(kWarn) << "CheckpointStore: falling back past corrupt checkpoint "
-                    << *it << ": " << error.what();
-      continue;
-    }
-    return std::make_pair(*it, std::move(*bytes));
-  }
-  return std::nullopt;
-}
-
 std::vector<CheckpointStore::ChainLink> CheckpointStore::newest_valid_chain()
     const {
   const auto bases = list(dir_);
@@ -370,8 +339,12 @@ std::vector<CheckpointStore::ChainLink> CheckpointStore::newest_valid_chain()
     if (!base_bytes.has_value()) continue;
     std::uint64_t prev_sequence = *it;
     SlotId prev_head;
+    Round horizon = 0;
     try {
-      prev_head = decode_checkpoint({base_bytes->data(), base_bytes->size()}).head;
+      const CheckpointData base =
+          decode_checkpoint({base_bytes->data(), base_bytes->size()});
+      prev_head = base.head;
+      horizon = base.horizon;
     } catch (const std::exception& error) {
       MM_LOG(kWarn) << "CheckpointStore: falling back past corrupt checkpoint "
                     << *it << ": " << error.what();
@@ -379,7 +352,7 @@ std::vector<CheckpointStore::ChainLink> CheckpointStore::newest_valid_chain()
     }
 
     std::vector<ChainLink> chain;
-    chain.push_back({*it, std::move(*base_bytes), load_cert(*it)});
+    chain.push_back({*it, horizon, std::move(*base_bytes), load_cert(*it)});
     for (std::uint64_t seq = *it + 1;
          std::binary_search(deltas.begin(), deltas.end(), seq); ++seq) {
       auto delta_bytes = read_whole_file(delta_path(dir_, seq));
@@ -392,6 +365,7 @@ std::vector<CheckpointStore::ChainLink> CheckpointStore::newest_valid_chain()
           break;  // stray link from another lineage
         }
         prev_head = delta.head;
+        horizon = delta.horizon;
       } catch (const std::exception& error) {
         // A torn delta tail truncates the chain here: the shorter chain plus
         // WAL segment replay still reconstructs a consistent state.
@@ -400,7 +374,7 @@ std::vector<CheckpointStore::ChainLink> CheckpointStore::newest_valid_chain()
         break;
       }
       prev_sequence = seq;
-      chain.push_back({seq, std::move(*delta_bytes), load_cert(seq)});
+      chain.push_back({seq, horizon, std::move(*delta_bytes), load_cert(seq)});
     }
     return chain;
   }

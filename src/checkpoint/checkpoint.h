@@ -1,14 +1,11 @@
 // Checkpoints: a serialized consistent cut of a validator's committed state.
 //
-// A checkpoint captures, at a GC horizon, everything a fresh validator needs
+// A checkpoint records, at a GC horizon, the agreed state a validator needs
 // to stand where the writer stood without replaying history below the
-// horizon:
+// horizon — and nothing the write-ahead log already holds:
 //
 //   * the consumption head (first unconsumed leader slot) and the full
 //     decided slot log — the agreed sequence itself;
-//   * the live DAG suffix: every block with round >= horizon, round-
-//     ascending, so re-insertion never misses a parent (sub-horizon parents
-//     are exempt once the DAG's horizon is set);
 //   * the delivered marks at or above the horizon, so the first commit after
 //     installation does not re-deliver blocks a pre-cut commit already
 //     delivered;
@@ -17,6 +14,14 @@
 //     the restored app must reproduce (the cut's analogue of verifying
 //     against the committed certificate chain: the digest is a deterministic
 //     function of the decided log, so peers agree on it).
+//
+// The live DAG suffix (every block at or above the horizon) is NOT part of
+// the record. Locally it sits in the segmented WAL, whose retention keeps
+// every segment holding a block at or above the oldest kept chain's horizon
+// (segmented_wal.h SegmentRetention), so recovery installs the blockless cut
+// and replays the retained segments. A peer catching up gets the suffix in
+// the chain frame (delta.h), encoded from the server's in-memory blocks at
+// serve time.
 //
 // The encoding is one CRC-framed record (shared wal_frame_record framing),
 // written crash-atomically by CheckpointStore (tmp + fsync + rename):
@@ -34,12 +39,18 @@
 
 #include "core/decision.h"
 #include "core/options.h"
+#include "dag/dag.h"
 #include "types/block.h"
 #include "types/committee.h"
 #include "types/validation.h"
 #include "validator/verifier_cache.h"
 
 namespace mahimahi {
+
+namespace serde {
+class Reader;
+class Writer;
+}  // namespace serde
 
 struct CheckpointData {
   std::uint64_t sequence = 0;      // writer-local monotonic checkpoint number
@@ -48,9 +59,9 @@ struct CheckpointData {
   SlotId head;                     // first unconsumed slot at the cut
   Round last_proposed_round = 0;   // author's proposer round at the cut
 
-  // The full decided log at the cut. `block` is resolved against the DAG at
-  // install time (null for commits below the horizon); `ref` always carries
-  // the identity.
+  // The full decided log at the cut. `block` is the committed leader's
+  // identity; installation restores it as a ref only (the block itself, when
+  // still live, arrives with the suffix or the WAL replay).
   struct DecidedSlot {
     SlotId slot;
     ValidatorId leader = 0;
@@ -62,10 +73,6 @@ struct CheckpointData {
 
   // Delivered marks with round >= horizon (Committer::delivered_snapshot).
   std::vector<std::pair<Digest, Round>> delivered;
-
-  // Live DAG suffix: round >= max(horizon, 1), ascending by round (genesis
-  // is excluded — every validator constructs it locally).
-  std::vector<BlockPtr> blocks;
 
   // Opaque application snapshot (driver-owned; e.g. app/kv_store.h contents)
   // plus the state digest the restored application must reproduce.
@@ -79,21 +86,26 @@ Bytes encode_checkpoint(const CheckpointData& data);
 CheckpointData decode_checkpoint(BytesView encoded);
 
 // An upper bound on the framed size of a base or delta record with these
-// contents, so its encoder allocates the buffer once. A base record carries
-// megabytes of blocks and application state and is kept for serving peers;
-// a buffer grown by doubling would keep up to twice that.
+// contents, so its encoder allocates the buffer once: the application
+// snapshot can run to megabytes, and a buffer grown by doubling would keep
+// up to twice that.
 std::size_t checkpoint_record_capacity(std::size_t decided, std::size_t delivered,
-                                       std::span<const BlockPtr> blocks,
                                        std::size_t app_bytes);
 
+// The live DAG suffix a cut at `horizon` stands on: every block of `dag`
+// with round >= max(horizon, 1), round-ascending so installation inserts
+// parents before children. Genesis is excluded — every validator constructs
+// it locally. Pointer copies only.
+std::vector<BlockPtr> checkpoint_suffix(const Dag& dag, Round horizon);
+
 // Semantic checks beyond the CRC, run before installing a checkpoint that
-// came off the wire: block shape + (per `validation`) batched coin/signature
-// verification, round-ascending suffix at or above the horizon, a decided
-// log that is EXACTLY the slot-successor chain from `options.first_slot_round`
-// to `head` (a fabricated head with a thin or empty log is rejected), and
-// every committed slot at or above the horizon backed by a block in the
-// suffix. Returns an empty string when acceptable, else a reason.
-// Thread-safe (workers verify off-loop).
+// came off the wire together with its live `suffix`: block shape + (per
+// `validation`) batched coin/signature verification, round-ascending suffix
+// at or above the horizon, a decided log that is EXACTLY the slot-successor
+// chain from `options.first_slot_round` to `head` (a fabricated head with a
+// thin or empty log is rejected), and every committed slot at or above the
+// horizon backed by a block in the suffix. Returns an empty string when
+// acceptable, else a reason. Thread-safe (workers verify off-loop).
 //
 // Known trust gap: decisions BELOW the horizon are unverifiable without the
 // pruned history — the receiver trusts the serving committee member for
@@ -102,10 +114,25 @@ std::size_t checkpoint_record_capacity(std::size_t decided, std::size_t delivere
 // a chain whose every link carries a 2f+1 certificate over the cut's
 // decided-log and app digests needs no below-horizon trust. This check
 // remains the structural floor both paths share.
-std::string verify_checkpoint(const CheckpointData& data, const Committee& committee,
+std::string verify_checkpoint(const CheckpointData& data,
+                              std::span<const BlockPtr> suffix,
+                              const Committee& committee,
                               const CommitterOptions& options,
                               const ValidationOptions& validation,
                               VerifierCache* cache = nullptr);
+
+// Record codec pieces shared by the base and delta encodings (delta.h).
+// Counts are bounded by the bytes present (serde::Reader::count).
+void write_decided_log(serde::Writer& w,
+                       std::span<const CheckpointData::DecidedSlot> decided);
+std::vector<CheckpointData::DecidedSlot> read_decided_log(serde::Reader& r);
+void write_delivered_marks(serde::Writer& w,
+                           std::span<const std::pair<Digest, Round>> marks);
+std::vector<std::pair<Digest, Round>> read_delivered_marks(serde::Reader& r);
+// Checks a record's CRC framing and leading magic; returns the payload
+// behind the magic. Throws serde::SerdeError naming `what`.
+BytesView open_checkpoint_record(BytesView encoded, std::uint32_t magic,
+                                 const char* what);
 
 // Directory of `ckpt-<sequence>.ckpt` base files, `dlta-<sequence>.dlta`
 // delta links (checkpoint/delta.h) and `cert-<sequence>.cert` certificate
@@ -127,8 +154,9 @@ class CheckpointStore {
 
   struct ChainLink {
     std::uint64_t sequence = 0;
-    Bytes record;  // base (first link) or delta record bytes
-    Bytes cert;    // certificate sidecar bytes; empty = none on disk
+    Round horizon = 0;  // the link's cut horizon
+    Bytes record;       // base (first link) or delta record bytes
+    Bytes cert;         // certificate sidecar bytes; empty = none on disk
   };
   // The newest base that decodes cleanly plus the contiguous run of
   // decoding, correctly linking deltas after it. A torn or corrupt delta
@@ -140,10 +168,6 @@ class CheckpointStore {
   // Newest reconstructable cut: the newest valid chain with its deltas
   // applied. nullopt when none.
   std::optional<CheckpointData> load_newest_valid() const;
-
-  // Raw encoded bytes of the newest valid BASE checkpoint (ignores deltas),
-  // for serving legacy single-record catch-up without a re-encode.
-  std::optional<std::pair<std::uint64_t, Bytes>> newest_valid_bytes() const;
 
   // Keeps the newest `keep` CHAINS (base + its deltas + their cert
   // sidecars), deletes older ones (at least one whole fallback chain

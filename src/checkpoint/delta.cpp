@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "app/kv_store.h"
-#include "common/crc32.h"
 #include "serde/serde.h"
 #include "wal/wal.h"
 
@@ -13,7 +12,9 @@ namespace mahimahi {
 
 namespace {
 
-constexpr std::uint32_t kDeltaMagic = 0x4d4d4344;  // "MMCD"
+// Distinct from the earlier block-carrying format's "MMCD" (see
+// checkpoint.cpp).
+constexpr std::uint32_t kDeltaMagic = 0x4d4d4432;  // "MMD2"
 constexpr std::uint8_t kDeltaVersion = 1;
 
 void write_slot(serde::Writer& w, SlotId slot) {
@@ -28,59 +29,11 @@ SlotId read_slot(serde::Reader& r) {
   return slot;
 }
 
-void write_decided(serde::Writer& w,
-                   std::span<const CheckpointData::DecidedSlot> decided) {
-  w.varint(decided.size());
-  for (const auto& d : decided) {
-    write_slot(w, d.slot);
-    w.u32(d.leader);
-    w.u8(static_cast<std::uint8_t>(d.kind));
-    w.u8(static_cast<std::uint8_t>(d.via));
-    if (d.kind == SlotDecision::Kind::kCommit) {
-      w.varint(d.block.round);
-      w.u32(d.block.author);
-      w.digest(d.block.digest);
-    }
-  }
-}
-
-std::vector<CheckpointData::DecidedSlot> read_decided(serde::Reader& r) {
-  const std::uint64_t count = r.varint();
-  constexpr std::size_t kMinDecidedBytes = 11;  // slot(1+4) + leader(4) + kind + via
-  if (count > r.remaining() / kMinDecidedBytes) {
-    throw serde::SerdeError("delta: decided count exceeds payload");
-  }
-  std::vector<CheckpointData::DecidedSlot> decided;
-  decided.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    CheckpointData::DecidedSlot d;
-    d.slot = read_slot(r);
-    d.leader = r.u32();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(SlotDecision::Kind::kSkip)) {
-      throw serde::SerdeError("delta: bad decision kind");
-    }
-    d.kind = static_cast<SlotDecision::Kind>(kind);
-    const std::uint8_t via = r.u8();
-    if (via > static_cast<std::uint8_t>(SlotDecision::Via::kIndirect)) {
-      throw serde::SerdeError("delta: bad decision via");
-    }
-    d.via = static_cast<SlotDecision::Via>(via);
-    if (d.kind == SlotDecision::Kind::kCommit) {
-      d.block.round = r.varint();
-      d.block.author = r.u32();
-      d.block.digest = r.digest();
-    }
-    decided.push_back(d);
-  }
-  return decided;
-}
-
 }  // namespace
 
 Bytes encode_checkpoint_delta(const CheckpointDelta& delta) {
   serde::Writer w(checkpoint_record_capacity(delta.decided_suffix.size(),
-                                             delta.delivered.size(), delta.blocks_added,
+                                             delta.delivered.size(),
                                              delta.app_delta.size()));
   wal_begin_record(w);
   w.u32(kDeltaMagic);
@@ -93,41 +46,16 @@ Bytes encode_checkpoint_delta(const CheckpointDelta& delta) {
   write_slot(w, delta.prev_head);
   write_slot(w, delta.head);
   w.varint(delta.last_proposed_round);
-
-  write_decided(w, delta.decided_suffix);
-
-  w.varint(delta.delivered.size());
-  for (const auto& [digest, round] : delta.delivered) {
-    w.digest(digest);
-    w.varint(round);
-  }
-
-  w.varint(delta.blocks_added.size());
-  for (const BlockPtr& block : delta.blocks_added) {
-    w.varint(block->encoded_size());
-    block->serialize_into(w);
-  }
-
+  write_decided_log(w, delta.decided_suffix);
+  write_delivered_marks(w, delta.delivered);
   w.bytes({delta.app_delta.data(), delta.app_delta.size()});
   w.digest(delta.app_digest);
-
   return wal_finish_record(std::move(w));
 }
 
 CheckpointDelta decode_checkpoint_delta(BytesView encoded) {
-  serde::Reader framing(encoded);
-  const std::uint32_t len = framing.u32();
-  const std::uint32_t crc = framing.u32();
-  if (len != framing.remaining()) {
-    throw serde::SerdeError("delta: frame length mismatch");
-  }
-  const BytesView payload = framing.raw(len);
-  if (crc32(payload) != crc) throw serde::SerdeError("delta: CRC mismatch");
-
-  serde::Reader r(payload);
-  if (r.u32() != kDeltaMagic) throw serde::SerdeError("delta: bad magic");
+  serde::Reader r(open_checkpoint_record(encoded, kDeltaMagic, "delta"));
   if (r.u8() != kDeltaVersion) throw serde::SerdeError("delta: bad version");
-
   CheckpointDelta delta;
   delta.sequence = r.u64();
   delta.prev_sequence = r.u64();
@@ -137,51 +65,12 @@ CheckpointDelta decode_checkpoint_delta(BytesView encoded) {
   delta.prev_head = read_slot(r);
   delta.head = read_slot(r);
   delta.last_proposed_round = r.varint();
-
-  delta.decided_suffix = read_decided(r);
-
-  const std::uint64_t delivered_count = r.varint();
-  constexpr std::size_t kMinDeliveredBytes = 33;  // digest(32) + round varint(1)
-  if (delivered_count > r.remaining() / kMinDeliveredBytes) {
-    throw serde::SerdeError("delta: delivered count exceeds payload");
-  }
-  delta.delivered.reserve(delivered_count);
-  for (std::uint64_t i = 0; i < delivered_count; ++i) {
-    const Digest digest = r.digest();
-    delta.delivered.emplace_back(digest, r.varint());
-  }
-
-  const std::uint64_t block_count = r.varint();
-  if (block_count > r.remaining()) {
-    throw serde::SerdeError("delta: block count exceeds payload");
-  }
-  delta.blocks_added.reserve(block_count);
-  for (std::uint64_t i = 0; i < block_count; ++i) {
-    const std::uint64_t block_len = r.varint();
-    if (block_len > r.remaining()) {
-      throw serde::SerdeError("delta: block length exceeds payload");
-    }
-    delta.blocks_added.push_back(std::make_shared<const Block>(
-        Block::deserialize(r.raw(static_cast<std::size_t>(block_len)))));
-  }
-
+  delta.decided_suffix = read_decided_log(r);
+  delta.delivered = read_delivered_marks(r);
   delta.app_delta = r.bytes();
   delta.app_digest = r.digest();
   r.expect_done();
   return delta;
-}
-
-bool is_checkpoint_delta(BytesView encoded) {
-  try {
-    serde::Reader framing(encoded);
-    framing.u32();  // length
-    framing.u32();  // crc
-    serde::Reader r(framing.raw(
-        std::min<std::size_t>(framing.remaining(), sizeof(std::uint32_t))));
-    return r.u32() == kDeltaMagic;
-  } catch (const serde::SerdeError&) {
-    return false;
-  }
 }
 
 CheckpointDelta make_checkpoint_delta(const CheckpointData& prev,
@@ -219,14 +108,6 @@ CheckpointDelta make_checkpoint_delta(const CheckpointData& prev,
   delta.decided_suffix.assign(next.decided.begin() + prev.decided.size(),
                               next.decided.end());
   delta.delivered = next.delivered;
-
-  std::unordered_set<Digest, DigestHasher> prev_blocks;
-  prev_blocks.reserve(prev.blocks.size());
-  for (const BlockPtr& block : prev.blocks) prev_blocks.insert(block->digest());
-  for (const BlockPtr& block : next.blocks) {
-    if (!prev_blocks.contains(block->digest())) delta.blocks_added.push_back(block);
-  }
-
   delta.app_delta = std::move(app_delta);
   delta.app_digest = next.app_digest;
   return delta;
@@ -253,23 +134,6 @@ void apply_checkpoint_delta(CheckpointData& data, const CheckpointDelta& delta) 
   data.decided.insert(data.decided.end(), delta.decided_suffix.begin(),
                       delta.decided_suffix.end());
   data.delivered = delta.delivered;
-
-  // New suffix = surviving old blocks (round >= the new horizon) merged with
-  // the added ones; both inputs are round-ascending, so a merge keeps the
-  // order verify_checkpoint and install expect (parents before children).
-  std::vector<BlockPtr> survivors;
-  survivors.reserve(data.blocks.size());
-  for (BlockPtr& block : data.blocks) {
-    if (block->round() >= delta.horizon) survivors.push_back(std::move(block));
-  }
-  std::vector<BlockPtr> merged;
-  merged.reserve(survivors.size() + delta.blocks_added.size());
-  std::merge(survivors.begin(), survivors.end(), delta.blocks_added.begin(),
-             delta.blocks_added.end(), std::back_inserter(merged),
-             [](const BlockPtr& a, const BlockPtr& b) {
-               return a->round() < b->round();
-             });
-  data.blocks = std::move(merged);
 
   if (delta.app_delta.empty()) {
     if (!data.app_state.empty()) {
@@ -305,24 +169,30 @@ void truncate_checkpoint(CheckpointData& data, SlotId boundary,
 // --- Chain wire frame --------------------------------------------------------
 
 Bytes encode_checkpoint_chain_frame(
-    const std::vector<std::pair<BytesView, BytesView>>& links) {
-  serde::Writer w;
+    const std::vector<std::pair<BytesView, BytesView>>& links,
+    std::span<const BlockPtr> suffix) {
+  std::size_t size = 2 * 10;
+  for (const auto& [record, cert] : links) size += 2 * 10 + record.size() + cert.size();
+  for (const BlockPtr& block : suffix) size += 10 + block->encoded_size();
+  serde::Writer w(size);
   w.varint(links.size());
   for (const auto& [record, cert] : links) {
     w.bytes(record);
     w.bytes(cert);
+  }
+  w.varint(suffix.size());
+  for (const BlockPtr& block : suffix) {
+    w.varint(block->encoded_size());
+    block->serialize_into(w);
   }
   return std::move(w).take();
 }
 
 CheckpointChainFrame decode_checkpoint_chain_frame(BytesView payload) {
   serde::Reader r(payload);
-  const std::uint64_t count = r.varint();
   // Each link costs at least its two length varints; the records themselves
   // re-validate under their own CRC framing.
-  if (count > r.remaining() / 2) {
-    throw serde::SerdeError("chain frame: link count exceeds payload");
-  }
+  const std::uint64_t count = r.count(2, "chain frame: link");
   CheckpointChainFrame frame;
   frame.links.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -330,6 +200,17 @@ CheckpointChainFrame decode_checkpoint_chain_frame(BytesView payload) {
     link.record = r.bytes();
     link.cert = r.bytes();
     frame.links.push_back(std::move(link));
+  }
+  // Each suffix block costs at least its length varint.
+  const std::uint64_t blocks = r.count(1, "chain frame: suffix block");
+  frame.suffix.reserve(blocks);
+  for (std::uint64_t i = 0; i < blocks; ++i) {
+    const std::uint64_t length = r.varint();
+    if (length > r.remaining()) {
+      throw serde::SerdeError("chain frame: block length exceeds payload");
+    }
+    frame.suffix.push_back(std::make_shared<const Block>(
+        Block::deserialize(r.raw(static_cast<std::size_t>(length)))));
   }
   r.expect_done();
   return frame;

@@ -6,12 +6,13 @@
 // what changed since the previous cut in the same chain:
 //
 //   * the decided-log suffix (slots in [prev_head, head));
-//   * the DAG-suffix blocks not already in the previous cut (blocks the new
-//     horizon pruned are reconstructed by filtering, not listed);
 //   * the delivered marks, replaced wholesale (they are bounded by the live
 //     suffix, unlike the log);
 //   * the touched app keys since the previous cut (app/kv_store.h
-//     delta_bytes), not the full store.
+//     delta_bytes), not the full store, and the full app digest.
+//
+// Like a base, a delta carries no blocks: the live DAG suffix stays in the
+// WAL locally and travels in the chain frame's suffix section to peers.
 //
 // A chain is one base checkpoint plus deltas in sequence order, re-based
 // after ValidatorConfig::checkpoint_max_deltas links. Applying the deltas
@@ -51,9 +52,6 @@ struct CheckpointDelta {
   // Full replacement of the delivered marks (round >= the new horizon).
   std::vector<std::pair<Digest, Round>> delivered;
 
-  // Suffix blocks not present in the previous cut, round-ascending.
-  std::vector<BlockPtr> blocks_added;
-
   // app::KvStore::delta_bytes() since the previous cut; empty when the
   // writer runs no app.
   Bytes app_delta;
@@ -63,10 +61,6 @@ struct CheckpointDelta {
 Bytes encode_checkpoint_delta(const CheckpointDelta& delta);
 // Throws serde::SerdeError on any mismatch (torn file, CRC, malformed).
 CheckpointDelta decode_checkpoint_delta(BytesView encoded);
-
-// True iff `encoded` frames a delta record (vs a base checkpoint): peeks the
-// magic behind the CRC framing without a full decode.
-bool is_checkpoint_delta(BytesView encoded);
 
 // Builds the delta taking `prev` to `next` (two cuts of the SAME validator,
 // `next` captured after `prev`). `base_sequence` is the chain's base (the
@@ -81,8 +75,8 @@ CheckpointDelta make_checkpoint_delta(const CheckpointData& prev,
                                       Bytes app_delta);
 
 // Applies one delta onto `data` in place: extends the decided log, advances
-// head/horizon, drops pruned suffix blocks and appends the new ones, replaces
-// the delivered marks, and replays the app delta onto the carried app_state.
+// head/horizon, replaces the delivered marks, and replays the app delta onto
+// the carried app_state.
 // Throws std::invalid_argument on linkage mismatch (wrong prev sequence or
 // head, non-monotone horizon) and serde::SerdeError on a malformed app
 // delta. Structural validity of the result is verify_checkpoint's job.
@@ -93,18 +87,20 @@ void apply_checkpoint_delta(CheckpointData& data, const CheckpointDelta& delta);
 // repositions the head, and removes the delivered marks in
 // `delivered_after_boundary` (the blocks delivered by this batch's sub-DAGs
 // at or past the boundary — the caller has them in Actions::committed). The
-// DAG suffix and proposer round stay: they describe live per-validator
-// state, not the agreed prefix, and verify_checkpoint accepts blocks above
-// the head. Requires data.horizon <= boundary.round (the caller skips the
-// cut otherwise — truncation must never cross the GC edge).
+// proposer round stays: it describes live per-validator state, not the
+// agreed prefix. Requires data.horizon <= boundary.round (the caller skips
+// the cut otherwise — truncation must never cross the GC edge).
 void truncate_checkpoint(CheckpointData& data, SlotId boundary,
                          std::span<const Digest> delivered_after_boundary);
 
 // --- Chain wire frame --------------------------------------------------------
 //
-// kCheckpointChain payload: the full base+delta chain, each link's encoded
-// record with its (optional) encoded certificate (checkpoint/cert.h). The
-// receiver reconstructs and verifies the chain off-loop.
+// kCheckpointChain payload: the base+delta chain, each link's encoded record
+// with its (optional) encoded certificate (checkpoint/cert.h), then one
+// suffix section — the live DAG suffix of the LAST link, encoded from the
+// server's in-memory blocks at serve time. A base-only chain is the whole
+// catch-up for a one-link chain. The receiver reconstructs and verifies the
+// chain off-loop.
 
 struct CheckpointChainFrame {
   struct Link {
@@ -112,10 +108,13 @@ struct CheckpointChainFrame {
     Bytes cert;    // encode_checkpoint_certificate(); empty = uncertified
   };
   std::vector<Link> links;  // base first, deltas in sequence order
+  // The last link's live suffix, round-ascending (checkpoint_suffix).
+  std::vector<BlockPtr> suffix;
 };
 
 Bytes encode_checkpoint_chain_frame(
-    const std::vector<std::pair<BytesView, BytesView>>& links);
+    const std::vector<std::pair<BytesView, BytesView>>& links,
+    std::span<const BlockPtr> suffix);
 // Bounds-checked decode; throws serde::SerdeError.
 CheckpointChainFrame decode_checkpoint_chain_frame(BytesView payload);
 

@@ -78,7 +78,7 @@ void SegmentedWal::open_active_locked(std::uint64_t index) {
   const std::string path = segment_path(dir_, index);
   file_ = std::fopen(path.c_str(), "ab");
   if (file_ == nullptr) throw std::runtime_error("SegmentedWal: cannot open " + path);
-  active_index_ = index;
+  active_index_.store(index, std::memory_order_release);
   active_records_ = 0;
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
@@ -99,14 +99,14 @@ void SegmentedWal::roll_if_over_budget_locked(std::size_t incoming_bytes) {
       options_.segment_records > 0 && active_records_ >= options_.segment_records;
   if (!over_bytes && !over_records) return;
   seal_active_locked();
-  open_active_locked(active_index_ + 1);
+  open_active_locked(active_segment() + 1);
 }
 
 void SegmentedWal::write_locked(BytesView framed) {
   roll_if_over_budget_locked(framed.size());
   if (std::fwrite(framed.data(), 1, framed.size(), file_) != framed.size()) {
     throw std::runtime_error("SegmentedWal: short write to " +
-                             segment_path(dir_, active_index_));
+                             segment_path(dir_, active_segment()));
   }
   active_bytes_ += framed.size();
   ++active_records_;
@@ -145,8 +145,8 @@ bool SegmentedWal::wal_ring_active() const {
 }
 
 void SegmentedWal::append_group_durable(BytesView group) {
-  // Held across the I/O, like sync(): the checkpoint writer must not roll or
-  // retire segments under a landing group.
+  // Held across the I/O, like sync(): a cut worker must not retire segments
+  // under a landing group.
   std::lock_guard<std::mutex> lock(mutex_);
   groups_durable_.fetch_add(1, std::memory_order_relaxed);
   if (ring_ != nullptr && options_.fsync_on_sync) {
@@ -166,18 +166,9 @@ void SegmentedWal::append_group_durable(BytesView group) {
                                   std::memory_order_relaxed);
 }
 
-std::uint64_t SegmentedWal::roll_segment() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (active_bytes_ > 0) {
-    seal_active_locked();
-    open_active_locked(active_index_ + 1);
-  }
-  return active_index_;
-}
-
 void SegmentedWal::retire_segments_below(std::uint64_t keep_from) {
   std::lock_guard<std::mutex> lock(mutex_);
-  keep_from = std::min(keep_from, active_index_);
+  keep_from = std::min(keep_from, active_segment());
   if (keep_from <= base_index_) return;
   // Manifest first: once it is durable, replay never looks below keep_from,
   // so a crash between here and the unlinks only strands dead files.
@@ -210,11 +201,6 @@ void SegmentedWal::write_manifest_locked(std::uint64_t base) {
   // durably in place before any segment it retires is unlinked.
   write_file_atomic((std::filesystem::path(dir_) / kManifestName).string(),
                     {w.data().data(), w.data().size()}, "SegmentedWal");
-}
-
-std::uint64_t SegmentedWal::active_segment() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return active_index_;
 }
 
 std::uint64_t SegmentedWal::base_segment() const {
@@ -267,6 +253,22 @@ SegmentedWal::ReplayResult SegmentedWal::replay(const std::string& dir,
     }
   }
   return result;
+}
+
+void SegmentRetention::note_cut(Round logged_round, std::uint64_t active_segment) {
+  marks_.push_back({logged_round, active_segment});
+}
+
+std::uint64_t SegmentRetention::keep_from(Round fallback_horizon) {
+  // The newest mark whose logged blocks all lie below the horizon.
+  std::size_t usable = 0;
+  while (usable < marks_.size() && marks_[usable].logged_round < fallback_horizon) {
+    ++usable;
+  }
+  if (usable == 0) return 0;
+  const std::uint64_t keep = marks_[usable - 1].active_segment;
+  marks_.erase(marks_.begin(), marks_.begin() + static_cast<std::ptrdiff_t>(usable - 1));
+  return keep;
 }
 
 }  // namespace mahimahi

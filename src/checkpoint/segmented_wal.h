@@ -14,7 +14,9 @@
 //     (crash-atomically: tmp + fsync + rename) by retire_segments_below(),
 //     BEFORE the retired files are unlinked — a crash mid-retire leaves
 //     stale files below the manifest base, which replay ignores and the next
-//     retire removes;
+//     retire removes. Which segments may retire is SegmentRetention's rule
+//     (below): checkpoint cuts carry no blocks, so a segment lives as long as
+//     it may hold a block a kept checkpoint chain's recovery would replay;
 //   * replay walks segments base..max in order with one shared scratch
 //     buffer. A torn tail is expected only in the LAST segment (crashes tear
 //     the active file) and truncates exactly like FileWal's; a corrupt
@@ -22,8 +24,9 @@
 //     reports it so the caller can fall back to an older checkpoint.
 //
 // Thread safety: unlike FileWal, all mutating members take an internal
-// mutex. The checkpoint writer needs to roll/retire from the loop thread
-// while the group-commit writer thread is appending groups.
+// mutex: the checkpoint writer retires segments from a worker thread while
+// the group-commit writer thread is appending groups. active_segment() is
+// lock-free, so a cut on the loop thread never waits on a group's fsync.
 #pragma once
 
 #include <atomic>
@@ -33,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "types/ids.h"
 #include "wal/wal.h"
 
 namespace mahimahi {
@@ -76,20 +80,16 @@ class SegmentedWal : public FramedWal {
     return groups_durable_.load(std::memory_order_relaxed);
   }
 
-  // Seals the active segment and opens the next index (no-op on an empty
-  // active segment). The checkpoint writer calls this at the cut: every
-  // record of the cut is in a sealed segment, so once the checkpoint file is
-  // durable the sealed prefix can retire. Returns the active index after the
-  // call — replay of [returned index, ...) plus the checkpoint covers
-  // everything.
-  std::uint64_t roll_segment();
-
   // Deletes sealed segments with index < keep_from after atomically
   // rewriting the manifest base. Never touches the active segment
   // (keep_from is clamped to it).
   void retire_segments_below(std::uint64_t keep_from);
 
-  std::uint64_t active_segment() const;
+  // Lock-free; may lag a concurrent roll, which only makes a retention mark
+  // (SegmentRetention::note_cut) more conservative.
+  std::uint64_t active_segment() const {
+    return active_index_.load(std::memory_order_acquire);
+  }
   std::uint64_t base_segment() const;
   std::uint64_t bytes_written() const;
   std::uint64_t segments_retired() const;
@@ -126,7 +126,7 @@ class SegmentedWal : public FramedWal {
 
   mutable std::mutex mutex_;
   std::FILE* file_ = nullptr;           // the active segment
-  std::uint64_t active_index_ = 0;
+  std::atomic<std::uint64_t> active_index_{0};  // written under mutex_
   std::uint64_t base_index_ = 0;
   std::uint64_t active_bytes_ = 0;      // size of the active segment file
   std::uint64_t active_records_ = 0;    // records appended to it this session
@@ -135,6 +135,34 @@ class SegmentedWal : public FramedWal {
   WalUring* ring_ = nullptr;            // non-owning; see attach_wal_ring
   std::atomic<std::uint64_t> group_flush_syscalls_{0};
   std::atomic<std::uint64_t> groups_durable_{0};
+};
+
+// Horizon-based segment retention: the one rule every checkpoint writer
+// (NodeRuntime, SimHarness, tests, benches) uses to pick which sealed
+// segments may retire.
+//
+// Recovery installs a blockless cut and replays the retained segments, so
+// every block at or above the horizon of the oldest chain the checkpoint
+// store keeps (its keep-2 fallback) must stay on disk. At each cut the
+// writer notes (highest block round handed to the WAL so far, active
+// segment index): every segment below that index was sealed before the
+// note, so it holds only blocks of rounds <= that round. Once a fallback
+// horizon exceeds the round, those segments hold only sub-horizon blocks.
+class SegmentRetention {
+ public:
+  void note_cut(Round logged_round, std::uint64_t active_segment);
+  // The lowest segment index that may hold a block at or above
+  // `fallback_horizon` (pass it to SegmentedWal::retire_segments_below).
+  // Fallback horizons never decrease, so marks older than the answer are
+  // forgotten.
+  std::uint64_t keep_from(Round fallback_horizon);
+
+ private:
+  struct Mark {
+    Round logged_round = 0;
+    std::uint64_t active_segment = 0;
+  };
+  std::vector<Mark> marks_;  // oldest first; both fields non-decreasing
 };
 
 }  // namespace mahimahi

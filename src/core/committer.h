@@ -87,9 +87,10 @@ class Committer : public CommitterBase {
   // repositions the head, seeds the delivered map, and recomputes the
   // commit/skip stats from the log (delivered byte/tx counters restart at
   // zero — they are local diagnostics, not agreed state). Decisions must be
-  // final and in slot order; commits below the checkpoint horizon may carry
-  // a null `block` (their ref keeps the identity). Pair with
-  // Dag::prune_below(horizon) + insert of the checkpoint's DAG suffix.
+  // final and in slot order; restored commits may carry a null `block`
+  // (their ref keeps the identity; consumed decisions are never resolved
+  // again). Pair with Dag::prune_below(horizon) + insert of the live DAG
+  // suffix (or a WAL replay of it).
   void restore(std::vector<SlotDecision> decided, SlotId head,
                const std::vector<std::pair<Digest, Round>>& delivered);
 

@@ -170,8 +170,15 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
     // Recovery before the WAL is reopened for append. The segmented layout
     // (checkpointing active) prefers newest-valid-checkpoint + segment-
     // suffix replay; the monolithic layout replays the whole file.
+    // Replayed blocks at or above the recovered chain's base horizon become
+    // the recovered links' servable suffix (a record carries none).
+    constexpr Round kNoSuffix = std::numeric_limits<Round>::max();
+    Round suffix_from = kNoSuffix;
+    std::vector<BlockPtr> replayed_suffix;
     FileWal::Visitor visitor;
-    visitor.on_block = [this](BlockPtr block, bool) {
+    visitor.on_block = [&, this](BlockPtr block, bool) {
+      wal_logged_round_ = std::max(wal_logged_round_, block->round());
+      if (block->round() >= suffix_from) replayed_suffix.push_back(block);
       Actions actions = core_->recover_block(std::move(block));
       if (exec_engine_ != nullptr) {
         // Replay commits apply serially inline (ISSUE contract: the recovery
@@ -196,9 +203,12 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
           checkpoint_seq_ = data.sequence;
           last_checkpoint_horizon_ = data.horizon;
           chain_base_seq_ = chain.front().sequence;
+          chain_base_horizon_ = chain.front().horizon;
+          suffix_from = chain.front().horizon;
           for (auto& link : chain) {
             ChainLinkRt rt;
             rt.sequence = link.sequence;
+            rt.horizon = link.horizon;
             rt.record = std::make_shared<const Bytes>(std::move(link.record));
             if (!link.cert.empty()) {
               // Sidecars already decode-gated by newest_valid_chain; the cut
@@ -214,8 +224,11 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
             }
             chain_links_.push_back(std::move(rt));
           }
-          latest_checkpoint_bytes_ = chain_links_.front().record;
-          core_->install_checkpoint(data, 0);  // recovery: actions are moot
+          // A blockless install: it sets the horizon, decided log, head,
+          // delivered marks and proposer round, and decides nothing — every
+          // slot past the head commits during the segment replay below, so
+          // each replayed commit reaches the execution engine.
+          core_->install_checkpoint(data, {}, 0);
           if (exec_engine_ != nullptr && !data.app_state.empty()) {
             // The cut's app snapshot stands in for every sub-horizon commit;
             // the segment-suffix replay below lands the rest on top of it.
@@ -224,8 +237,7 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
           }
           MM_LOG(kInfo) << "v" << id() << " recovered checkpoint " << data.sequence
                         << " (horizon r" << data.horizon << ", "
-                        << chain_links_.size() << "-link chain, "
-                        << data.blocks.size() << " suffix blocks)";
+                        << chain_links_.size() << "-link chain)";
           // The diff base for the next delta cut. The app snapshot travels
           // inside; the touched-key window restarts empty, which is exactly
           // the delta since this recovered state.
@@ -237,6 +249,18 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
         MM_LOG(kInfo) << "v" << id() << " replayed " << replay.records
                       << " records from " << replay.segments << " WAL segments"
                       << (replay.corrupt_tail ? " (torn tail dropped)" : "");
+      }
+      if (!chain_links_.empty()) {
+        // Serving state for the recovered links. Retention kept every block
+        // at or above the base horizon, so this covers each link's suffix;
+        // blocks logged after a cut only make its served suffix a superset.
+        std::stable_sort(replayed_suffix.begin(), replayed_suffix.end(),
+                         [](const BlockPtr& a, const BlockPtr& b) {
+                           return a->round() < b->round();
+                         });
+        auto suffix =
+            std::make_shared<const std::vector<BlockPtr>>(std::move(replayed_suffix));
+        for (auto& link : chain_links_) link.suffix = suffix;
       }
       SegmentedWalOptions seg_options;
       seg_options.segment_bytes = config_.validator.wal_segment_bytes;
@@ -626,11 +650,16 @@ void NodeRuntime::on_peer_frame(ValidatorId peer, BytesView frame) {
         serve_checkpoint(peer);
         break;
       }
-      case MessageType::kCheckpointResponse: {
-        // Solicited-window gate: only the peer we asked, and only ONE
-        // response per request — the window closes on receipt, not on
-        // install, so a response that fails verification cannot hold it
-        // open for an unlimited stream of multi-MB frames.
+      case MessageType::kCertShare: {
+        if (!certifying_) break;
+        on_cert_share(decode_cut_share(r.raw(r.remaining())));
+        break;
+      }
+      case MessageType::kCheckpointChain: {
+        // Solicited-window gate: only the peer we asked, and only ONE chain
+        // per request — the window closes on receipt, not on install, so a
+        // chain that fails verification cannot hold it open for an unlimited
+        // stream of multi-MB frames.
         if (!catchup_request_outstanding_ || peer != catchup_request_peer_) {
           break;  // unsolicited: drop unread
         }
@@ -640,29 +669,6 @@ void NodeRuntime::on_peer_frame(ValidatorId peer, BytesView frame) {
         if (verify_pool_) {
           // Decode + suffix crypto verification are the expensive parts;
           // they are pure functions of the bytes and the committee.
-          verify_pool_->submit([this, peer, copy = std::move(copy)]() mutable {
-            verify_checkpoint_response(peer, std::move(copy));
-          });
-        } else {
-          verify_checkpoint_response(peer, std::move(copy));
-        }
-        break;
-      }
-      case MessageType::kCertShare: {
-        if (!certifying_) break;
-        on_cert_share(decode_cut_share(r.raw(r.remaining())));
-        break;
-      }
-      case MessageType::kCheckpointChain: {
-        // Same solicited-window gate as kCheckpointResponse: one chain per
-        // request, only from the peer we asked.
-        if (!catchup_request_outstanding_ || peer != catchup_request_peer_) {
-          break;  // unsolicited: drop unread
-        }
-        catchup_request_outstanding_ = false;
-        const BytesView payload = r.raw(r.remaining());
-        Bytes copy(payload.begin(), payload.end());
-        if (verify_pool_) {
           verify_pool_->submit([this, peer, copy = std::move(copy)]() mutable {
             verify_chain_response(peer, std::move(copy));
           });
@@ -973,6 +979,7 @@ void NodeRuntime::perform(Actions&& actions) {
   const TimeMicros perform_now = steady_now_micros();
   for (const auto& block : actions.inserted) {
     wal_->append_block(*block, block->author() == id());
+    wal_logged_round_ = std::max(wal_logged_round_, block->round());
     // Insert stamp: opens the commit-wait span closed by sub_dag_committed.
     tracer_.block_inserted(block->digest(), perform_now);
     recorder_.record(obs::FlightEventType::kBlockInsert, perform_now,
@@ -1283,9 +1290,10 @@ void NodeRuntime::cross_cut_boundary(std::uint64_t cut_index, SlotId boundary,
 void NodeRuntime::start_cut(std::uint64_t cut_index, SlotId boundary,
                             const Digest& app_digest, const Actions& actions) {
   // The consistent cut: captured here, on the loop thread, where the core is
-  // quiescent — committed head, decided log, delivered marks, live DAG
-  // suffix — then truncated back to the canonical boundary so the persisted
-  // cut matches the certified payload exactly.
+  // quiescent — committed head, decided log, delivered marks, and pointers
+  // to the live DAG suffix for serving — then truncated back to the
+  // canonical boundary so the persisted cut matches the certified payload
+  // exactly.
   CheckpointData data = core_->capture_checkpoint();
   if (data.horizon > boundary.round) return;  // GC already pruned past it
   std::vector<Digest> delivered_after;
@@ -1324,32 +1332,44 @@ void NodeRuntime::start_cut(std::uint64_t cut_index, SlotId boundary,
     exec_engine_->clear_app_delta_window();
   }
 
-  // Rolling the segment at a base cut gives the retire boundary: every
-  // record of the whole previous chain is now in a sealed segment. Delta
-  // cuts do not roll — recovery replays the segment suffix from the chain
-  // base's boundary, and re-inserting blocks the deltas already cover is
-  // idempotent.
-  const std::uint64_t keep_from =
-      is_base && seg_wal_ != nullptr ? seg_wal_->roll_segment() : 0;
+  // Retention: the chain this base replaces becomes the store's fallback,
+  // so once the base is durable the segments holding only blocks below that
+  // chain's base horizon can go.
+  std::uint64_t keep_from = 0;
+  if (seg_wal_ != nullptr) {
+    retention_.note_cut(wal_logged_round_, seg_wal_->active_segment());
+    if (is_base) keep_from = retention_.keep_from(chain_base_horizon_);
+  }
   checkpoint_in_flight_ = true;
+  ChainLinkRt link;
+  link.sequence = data.sequence;
+  link.cut_index = cut_index;
+  link.horizon = data.horizon;
+  link.suffix = std::make_shared<const std::vector<BlockPtr>>(
+      checkpoint_suffix(core_->dag(), data.horizon));
   auto data_ptr = std::make_shared<const CheckpointData>(std::move(data));
-  auto task = [this, data_ptr, delta = std::move(delta), is_base, cut_index,
-               keep_from, epoch = chain_epoch_]() {
-    // Worker side: serialization + the crash-atomic file write. The blocks
-    // are immutable and the store touches only its own files.
-    std::shared_ptr<const Bytes> encoded;
+  auto task = [this, data_ptr, delta = std::move(delta), is_base, keep_from,
+               link = std::move(link), epoch = chain_epoch_]() mutable {
+    // Worker side: serialization, the crash-atomic file write and, after a
+    // base, the retirements — the store and the WAL's own mutex keep these
+    // off the loop thread's path.
     try {
-      encoded = std::make_shared<const Bytes>(
-          is_base ? encode_checkpoint(*data_ptr) : encode_checkpoint_delta(delta));
+      Bytes encoded =
+          is_base ? encode_checkpoint(*data_ptr) : encode_checkpoint_delta(delta);
       if (checkpoint_store_ != nullptr) {
         if (is_base) {
-          checkpoint_store_->write(data_ptr->sequence,
-                                   {encoded->data(), encoded->size()});
+          checkpoint_store_->write(data_ptr->sequence, {encoded.data(), encoded.size()});
+          // Only now — with the new base durable — can the chain before the
+          // PREVIOUS one retire, segments and checkpoint files alike:
+          // recovery may fall back past a torn newest chain.
+          if (seg_wal_ != nullptr) seg_wal_->retire_segments_below(keep_from);
+          checkpoint_store_->retire(2);
         } else {
           checkpoint_store_->write_delta(data_ptr->sequence,
-                                         {encoded->data(), encoded->size()});
+                                         {encoded.data(), encoded.size()});
         }
       }
+      link.record = std::make_shared<const Bytes>(std::move(encoded));
     } catch (const std::exception& error) {
       MM_LOG(kWarn) << "v" << id() << " checkpoint write failed: " << error.what();
       loop_.post([this, epoch] {
@@ -1359,11 +1379,10 @@ void NodeRuntime::start_cut(std::uint64_t cut_index, SlotId boundary,
         // stop at; dropping the diff base forces the next cut to re-base.
         last_cut_data_.reset();
       });
-      return;  // keep the old serving state; segments stay until a write lands
+      return;  // keep the old serving state
     }
-    loop_.post([this, epoch, cut_index, is_base, keep_from, encoded, data_ptr] {
-      finish_checkpoint(epoch, cut_index, is_base, data_ptr->horizon, keep_from,
-                        encoded, data_ptr);
+    loop_.post([this, epoch, is_base, link = std::move(link), data_ptr]() mutable {
+      finish_checkpoint(epoch, is_base, std::move(link), data_ptr);
     });
   };
   if (verify_pool_) {
@@ -1373,35 +1392,22 @@ void NodeRuntime::start_cut(std::uint64_t cut_index, SlotId boundary,
   }
 }
 
-void NodeRuntime::finish_checkpoint(std::uint64_t epoch, std::uint64_t cut_index,
-                                    bool is_base, Round horizon,
-                                    std::uint64_t keep_from,
-                                    std::shared_ptr<const Bytes> encoded,
+void NodeRuntime::finish_checkpoint(std::uint64_t epoch, bool is_base, ChainLinkRt link,
                                     std::shared_ptr<const CheckpointData> data) {
   if (epoch != chain_epoch_) return;  // a snapshot install replaced the chain
   checkpoint_in_flight_ = false;
-  if (horizon > last_checkpoint_horizon_) last_checkpoint_horizon_ = horizon;
+  if (data->horizon > last_checkpoint_horizon_) last_checkpoint_horizon_ = data->horizon;
   checkpoints_written_->add();
   recorder_.record_now(obs::FlightEventType::kCheckpointCut, data->head.round,
-                       cut_index);
+                       link.cut_index);
   if (is_base) {
     chain_links_.clear();
     chain_base_seq_ = data->sequence;
-    latest_checkpoint_bytes_ = encoded;
-    // Only now — with the new base durable — can the chain before the
-    // PREVIOUS one retire, segments and checkpoint files alike: recovery may
-    // fall back past a torn newest chain, which needs the previous chain's
-    // records and the segments from its base boundary.
-    if (seg_wal_ != nullptr) seg_wal_->retire_segments_below(chain_keep_from_);
-    chain_keep_from_ = keep_from;
-    if (checkpoint_store_ != nullptr) checkpoint_store_->retire(2);
+    chain_base_horizon_ = data->horizon;
   } else {
     checkpoint_delta_cuts_->add();
   }
-  ChainLinkRt link;
-  link.sequence = data->sequence;
-  link.cut_index = cut_index;
-  link.record = std::move(encoded);
+  const std::uint64_t cut_index = link.cut_index;
   chain_links_.push_back(std::move(link));
   last_cut_data_ = std::move(data);
   // A certificate that formed while the write was in flight attaches now.
@@ -1482,69 +1488,41 @@ void NodeRuntime::attach_cert(std::uint64_t cut_index,
 }
 
 void NodeRuntime::serve_checkpoint(ValidatorId peer) {
-  if (!chain_links_.empty()) {
-    // Prefer the certified trust root: serve the longest chain prefix whose
-    // every link carries an aggregated certificate, so the receiver installs
-    // without trusting this peer. Only when NOT EVEN THE BASE is certified
-    // yet (certification disabled, or its collection still in flight) does
-    // the whole chain go out uncertified via the legacy stuck-requester
-    // trust path — a slightly stale certified cut beats a fresher one the
-    // receiver has to take on faith, and live sync replays the gap anyway.
-    std::size_t certified_prefix = 0;
-    while (certified_prefix < chain_links_.size() &&
-           chain_links_[certified_prefix].cert != nullptr) {
-      ++certified_prefix;
-    }
-    const std::size_t count =
-        certified_prefix > 0 ? certified_prefix : chain_links_.size();
-    std::vector<std::pair<BytesView, BytesView>> links;
-    links.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto& link = chain_links_[i];
-      links.emplace_back(
-          BytesView{link.record->data(), link.record->size()},
-          link.cert != nullptr ? BytesView{link.cert->data(), link.cert->size()}
-                               : BytesView{});
-    }
-    const Bytes frame = encode_checkpoint_chain_frame(links);
-    serde::Writer w(1 + frame.size());
-    w.u8(static_cast<std::uint8_t>(MessageType::kCheckpointChain));
-    w.raw({frame.data(), frame.size()});
-    send_to_peer(peer, {w.data().data(), w.data().size()});
-    checkpoints_served_->add();
-    return;
+  if (chain_links_.empty()) return;  // nothing to offer yet
+  // Prefer the certified trust root: serve the longest chain prefix whose
+  // every link carries an aggregated certificate, so the receiver installs
+  // without trusting this peer. Only when NOT EVEN THE BASE is certified yet
+  // (certification disabled, or its collection still in flight) does the
+  // whole chain go out uncertified via the legacy stuck-requester trust path
+  // — a slightly stale certified cut beats a fresher one the receiver has to
+  // take on faith, and live sync replays the gap anyway.
+  std::size_t certified_prefix = 0;
+  while (certified_prefix < chain_links_.size() &&
+         chain_links_[certified_prefix].cert != nullptr) {
+    ++certified_prefix;
   }
-  if (latest_checkpoint_bytes_ == nullptr) return;  // nothing to offer yet
-  serde::Writer w(1 + latest_checkpoint_bytes_->size());
-  w.u8(static_cast<std::uint8_t>(MessageType::kCheckpointResponse));
-  w.raw({latest_checkpoint_bytes_->data(), latest_checkpoint_bytes_->size()});
+  const std::size_t count = certified_prefix > 0 ? certified_prefix : chain_links_.size();
+  std::vector<std::pair<BytesView, BytesView>> links;
+  links.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto& link = chain_links_[i];
+    links.emplace_back(
+        BytesView{link.record->data(), link.record->size()},
+        link.cert != nullptr ? BytesView{link.cert->data(), link.cert->size()}
+                             : BytesView{});
+  }
+  // The served tip's live suffix, encoded now from the blocks it pins.
+  const ChainLinkRt& tip = chain_links_[count - 1];
+  const auto from = std::partition_point(
+      tip.suffix->begin(), tip.suffix->end(),
+      [&tip](const BlockPtr& block) { return block->round() < tip.horizon; });
+  const Bytes frame = encode_checkpoint_chain_frame(
+      links, std::span<const BlockPtr>(from, tip.suffix->end()));
+  serde::Writer w(1 + frame.size());
+  w.u8(static_cast<std::uint8_t>(MessageType::kCheckpointChain));
+  w.raw({frame.data(), frame.size()});
   send_to_peer(peer, {w.data().data(), w.data().size()});
   checkpoints_served_->add();
-}
-
-void NodeRuntime::verify_checkpoint_response(ValidatorId peer, Bytes payload) {
-  try {
-    CheckpointData data = decode_checkpoint({payload.data(), payload.size()});
-    const std::string error =
-        verify_checkpoint(data, committee_, config_.validator.committer,
-                          config_.validator.validation,
-                          config_.validator.signature_cache.get());
-    if (!error.empty()) {
-      MM_LOG(kWarn) << "v" << id() << " rejected checkpoint from v" << peer << ": "
-                    << error;
-      return;
-    }
-    loop_.post([this, data = std::move(data)]() mutable {
-      // The single-record response carries no certificates: legacy trust.
-      install_peer_checkpoint(std::move(data), /*certified=*/false, nullptr);
-    });
-  } catch (const std::exception& error) {
-    // std::exception, not just SerdeError: a hostile frame can also surface
-    // as e.g. std::length_error from an allocation, and an uncaught throw on
-    // a verify-pool worker would terminate the process — a remote crash.
-    MM_LOG(kWarn) << "v" << id() << " bad checkpoint frame from v" << peer << ": "
-                  << error.what();
-  }
 }
 
 void NodeRuntime::verify_chain_response(ValidatorId peer, Bytes payload) {
@@ -1565,20 +1543,26 @@ void NodeRuntime::verify_chain_response(ValidatorId peer, Bytes payload) {
       return;
     }
     if (!result.certified) final_cert.reset();
-    loop_.post([this, data = std::move(result.data), certified = result.certified,
+    loop_.post([this, data = std::move(result.data), suffix = std::move(result.suffix),
+                certified = result.certified,
                 final_cert = std::move(final_cert)]() mutable {
-      install_peer_checkpoint(std::move(data), certified, std::move(final_cert));
+      install_peer_checkpoint(std::move(data), std::move(suffix), certified,
+                              std::move(final_cert));
     });
   } catch (const std::exception& error) {
+    // std::exception, not just SerdeError: a hostile frame can also surface
+    // as e.g. std::length_error from an allocation, and an uncaught throw on
+    // a verify-pool worker would terminate the process — a remote crash.
     MM_LOG(kWarn) << "v" << id() << " bad checkpoint chain frame from v" << peer
                   << ": " << error.what();
   }
 }
 
-void NodeRuntime::install_peer_checkpoint(CheckpointData data, bool certified,
+void NodeRuntime::install_peer_checkpoint(CheckpointData data,
+                                          std::vector<BlockPtr> suffix, bool certified,
                                           std::shared_ptr<const Bytes> final_cert) {
   const SlotId before = core_->committer().next_pending_slot();
-  Actions actions = core_->install_checkpoint(data, steady_now_micros());
+  Actions actions = core_->install_checkpoint(data, suffix, steady_now_micros());
   if (core_->committer().next_pending_slot() <= before) return;  // stale snapshot
   snapshot_catchups_->add();
   (certified ? certified_installs_ : uncertified_installs_)->add();
@@ -1590,9 +1574,9 @@ void NodeRuntime::install_peer_checkpoint(CheckpointData data, bool certified,
   MM_LOG(kInfo) << "v" << id() << " installed snapshot from v" << data.author
                 << " (horizon r" << data.horizon << ", head r" << data.head.round
                 << ")";
-  // Persist the snapshot as our own recovery point: a crash from here on
-  // must not land us back below everyone's horizon. The sequence continues
-  // our local numbering.
+  // The snapshot becomes our own recovery point (below): a crash from here
+  // on must not land us back below everyone's horizon. The sequence
+  // continues our local numbering.
   data.sequence = ++checkpoint_seq_;
   last_checkpoint_horizon_ = data.horizon;
   // The installed cut replaces the local chain: in-flight cut completions
@@ -1606,14 +1590,16 @@ void NodeRuntime::install_peer_checkpoint(CheckpointData data, bool certified,
   decided_hasher_ = DecidedLogHasher{};
   decided_folded_ = 0;
   // Re-encoded rather than stored verbatim so the local sequence stamp keeps
-  // our file numbering monotonic (rare path; the cost is one serialization).
+  // our file numbering monotonic (rare path; the record carries no blocks).
   auto restamped = std::make_shared<const Bytes>(encode_checkpoint(data));
-  latest_checkpoint_bytes_ = restamped;
   chain_links_.clear();
   chain_base_seq_ = data.sequence;
+  chain_base_horizon_ = data.horizon;
   ChainLinkRt base_link;
   base_link.sequence = data.sequence;
+  base_link.horizon = data.horizon;
   base_link.record = restamped;
+  base_link.suffix = std::make_shared<const std::vector<BlockPtr>>(std::move(suffix));
   if (final_cert != nullptr) {
     // The payload a certificate signs is author- and sequence-independent,
     // so the received chain's final certificate binds the restamped merged
@@ -1628,18 +1614,6 @@ void NodeRuntime::install_peer_checkpoint(CheckpointData data, bool certified,
     }
   }
   chain_links_.push_back(base_link);
-  if (checkpoint_store_ != nullptr) {
-    try {
-      checkpoint_store_->write(data.sequence, {restamped->data(), restamped->size()});
-      if (base_link.cert != nullptr) {
-        checkpoint_store_->write_cert(
-            data.sequence, {base_link.cert->data(), base_link.cert->size()});
-      }
-      checkpoint_store_->retire(2);
-    } catch (const std::exception& error) {
-      MM_LOG(kWarn) << "v" << id() << " failed to persist snapshot: " << error.what();
-    }
-  }
   if (config_.validator.checkpoint_interval > 0) {
     // Resume boundary crossing strictly past the installed head.
     const Round interval = config_.validator.checkpoint_interval;
@@ -1667,6 +1641,25 @@ void NodeRuntime::install_peer_checkpoint(CheckpointData data, bool certified,
       }
     }
     if (!defer) rebuild_commit_scanner();
+  }
+  // The record carries no blocks, so it becomes our recovery point only once
+  // the installed suffix is durable in our WAL: log it, sync, persist — all
+  // before the install's commits go out.
+  Actions logged;
+  logged.inserted = std::move(actions.inserted);
+  perform(std::move(logged));
+  if (checkpoint_store_ != nullptr) {
+    wal_->sync();
+    try {
+      checkpoint_store_->write(base_link.sequence, {restamped->data(), restamped->size()});
+      if (base_link.cert != nullptr) {
+        checkpoint_store_->write_cert(
+            base_link.sequence, {base_link.cert->data(), base_link.cert->size()});
+      }
+      checkpoint_store_->retire(2);
+    } catch (const std::exception& error) {
+      MM_LOG(kWarn) << "v" << id() << " failed to persist snapshot: " << error.what();
+    }
   }
   perform(std::move(actions));
 }

@@ -39,19 +39,22 @@
 // Together these leave the loop thread as pure I/O multiplexing.
 //
 // Checkpointing (ValidatorConfig::checkpoint_interval, checkpoint/):
-//   * with persistence, the WAL runs the segmented layout (rolling
+//   * with persistence, the WAL runs the segmented layout (size-rolled
 //     seg-*.wal files + a checkpoint store in the same directory) instead of
-//     one monolithic file, and recovery prefers newest-valid-chain +
-//     segment-suffix replay;
+//     one monolithic file, and recovery installs the newest valid chain's
+//     blockless cut, then replays the retained segments;
 //   * cuts happen at CANONICAL boundary slots (checkpoint/cert.h
 //     cut_boundary_slot): when the consumption head crosses boundary k, the
-//     loop thread captures the consistent cut and truncates it back to the
+//     loop thread captures the consistent cut (pointer copies of the decided
+//     log, delivered marks and live suffix) and truncates it back to the
 //     boundary, so every honest validator's cut k has the identical decided
 //     log and app digest. Up to checkpoint_max_deltas cuts ride as delta
-//     links (checkpoint/delta.h) on the chain's base before a re-base; a
-//     worker serializes and lands each record crash-atomically, completion
-//     posts back to the loop thread, which retires sealed segments one whole
-//     CHAIN behind (recovery may fall back a full chain);
+//     links (checkpoint/delta.h) on the chain's base before a re-base. A
+//     record carries no blocks — the WAL already holds them. A worker
+//     serializes and lands each record crash-atomically; after a base it
+//     also retires, on that worker, the segments holding only blocks below
+//     the fallback chain's horizon (checkpoint/segmented_wal.h
+//     SegmentRetention) and the chain before the fallback one;
 //   * at every boundary crossing the validator signs the cut payload and
 //     broadcasts the share (kCertShare); 2f+1 matching shares aggregate into
 //     a CheckpointCertificate persisted as a cert-*.cert sidecar and served
@@ -60,8 +63,9 @@
 //     stuck-requester path with a counter recording the downgrade;
 //   * a peer that asks for ancestors below our GC horizon gets a kHorizon
 //     notice; when it is stuck below it, it sends kCheckpointRequest and we
-//     answer with the base+delta chain (kCheckpointChain), which it verifies
-//     off-loop (verify_checkpoint_chain) and installs — the only way a
+//     answer with the base+delta chain plus the served tip's live suffix,
+//     encoded from our in-memory blocks (kCheckpointChain). It verifies it
+//     off-loop (verify_checkpoint_chain) and installs it — the only way a
 //     validator that fell behind every peer's horizon can ever catch up.
 //
 // Message frames (first payload byte is the type):
@@ -70,9 +74,10 @@
 //   kFetch:              varint count + (round, author, digest) refs
 //   kHorizon:            varint GC horizon of the sender
 //   kCheckpointRequest:  empty (send me your latest checkpoint)
-//   kCheckpointResponse: one encode_checkpoint() record (legacy serving)
+//   (type 6 unassigned; unknown types are dropped)
 //   kCertShare:          encode_cut_share() — one cut-certificate share
 //   kCheckpointChain:    encode_checkpoint_chain_frame() — base+delta chain
+//                        records + certificates, then the tip's live suffix
 #pragma once
 
 #include <atomic>
@@ -338,7 +343,6 @@ class NodeRuntime {
     kFetch = 3,
     kHorizon = 4,
     kCheckpointRequest = 5,
-    kCheckpointResponse = 6,
     kCertShare = 7,
     kCheckpointChain = 8,
   };
@@ -414,15 +418,14 @@ class NodeRuntime {
   void cross_cut_boundary(std::uint64_t cut_index, SlotId boundary,
                           const Actions& actions);
   // Captures the consistent cut truncated back to `boundary`, decides
-  // base-vs-delta, and hands serialization + the crash-atomic file write to
-  // a worker (one in flight at a time).
+  // base-vs-delta, and hands serialization, the crash-atomic file write and
+  // (after a base) the retirements to a worker (one in flight at a time).
   void start_cut(std::uint64_t cut_index, SlotId boundary,
                  const Digest& app_digest, const Actions& actions);
-  // Completion posted back by the writer task: appends the chain link,
-  // caches serving state, retires segments one whole chain behind.
-  void finish_checkpoint(std::uint64_t epoch, std::uint64_t cut_index,
-                         bool is_base, Round horizon, std::uint64_t keep_from,
-                         std::shared_ptr<const Bytes> encoded,
+  // Completion posted back by the writer task: appends the chain link
+  // (record, live suffix) for serving.
+  struct ChainLinkRt;
+  void finish_checkpoint(std::uint64_t epoch, bool is_base, ChainLinkRt link,
                          std::shared_ptr<const CheckpointData> data);
   // kCertShare ingress: window + signature + payload checks, then the
   // threshold collector; forms and persists the certificate at 2f+1.
@@ -436,20 +439,19 @@ class NodeRuntime {
   // written) and persists the sidecar via a worker.
   void attach_cert(std::uint64_t cut_index, std::shared_ptr<const Bytes> cert);
   // Answers kCheckpointRequest: the base+delta chain with per-link certs
-  // (kCheckpointChain) when links exist, else the legacy single-record
-  // kCheckpointResponse.
+  // and the served tip's live suffix (kCheckpointChain), once a link exists.
   void serve_checkpoint(ValidatorId peer);
-  // Worker-side: decodes + verifies a received checkpoint, posts the install.
-  void verify_checkpoint_response(ValidatorId peer, Bytes payload);
   // Worker-side: decodes + verifies a received base+delta chain
   // (verify_checkpoint_chain), posts the install with its trust class.
   void verify_chain_response(ValidatorId peer, Bytes payload);
-  // Installs a verified peer checkpoint into the core and persists it as our
-  // own recovery point; rebuilds the commit scanner (its replica no longer
+  // Installs a verified peer checkpoint and its live suffix into the core
+  // and, once the suffix is durable in our WAL, persists the cut as our own
+  // recovery point; rebuilds the commit scanner (its replica no longer
   // matches the installed DAG). `certified` selects the trust-root counter;
   // `final_cert` (may be null) is re-attached to the persisted base so the
   // certificate survives the re-base.
-  void install_peer_checkpoint(CheckpointData data, bool certified,
+  void install_peer_checkpoint(CheckpointData data, std::vector<BlockPtr> suffix,
+                               bool certified,
                                std::shared_ptr<const Bytes> final_cert);
   // Scanner rebuild handshake: runs on the loop thread once no scan drain
   // can be touching the old scanner (immediately when idle, else posted by
@@ -511,8 +513,8 @@ class NodeRuntime {
   GroupCommitWal* group_wal_ = nullptr;
   // Non-null iff the segmented layout is active: the SegmentedWal owned by
   // wal_ (directly, or inside the group-commit decorator). Its internal
-  // mutex makes the loop thread's roll/retire safe against the WAL writer
-  // thread's appends.
+  // mutex makes a cut worker's retire safe against the WAL writer thread's
+  // appends; the loop thread reads only its lock-free active_segment().
   SegmentedWal* seg_wal_ = nullptr;
   CommitHandler commit_handler_;
   // Execution engine (ValidatorConfig::execute_app): fed on the loop thread
@@ -524,7 +526,7 @@ class NodeRuntime {
   // Checkpoint subsystem (loop-thread state unless noted).
   bool checkpointing_ = false;  // interval > 0 and the core can capture
   // Armed when the core emits a checkpoint request; records which peer was
-  // asked. kCheckpointResponse frames arriving outside that window —
+  // asked. kCheckpointChain frames arriving outside that window —
   // unsolicited, or from a peer other than the one asked — are dropped
   // BEFORE the (expensive) off-loop decode + verification. The window
   // closes on the FIRST response from the asked peer whatever its
@@ -541,16 +543,13 @@ class NodeRuntime {
   bool checkpoint_in_flight_ = false;
   Round last_checkpoint_horizon_ = 0;
   std::uint64_t checkpoint_seq_ = 0;
-  // Segment boundary recorded at the base cut of the PREVIOUS chain.
-  // Retirement lags one whole CHAIN: recovery can fall back past a torn
-  // newest chain to the previous one only if the segments from that chain's
-  // base boundary still exist (mirrors CheckpointStore's keep-2 policy,
-  // which is also chain-granular).
-  std::uint64_t chain_keep_from_ = 0;
-  // Latest encoded BASE checkpoint, served on the legacy single-record path.
-  // shared_ptr so the in-flight writer task and a concurrent serve never
-  // copy the blob.
-  std::shared_ptr<const Bytes> latest_checkpoint_bytes_;
+  // Segment retention (checkpoint/segmented_wal.h): a mark per cut, and the
+  // highest block round handed to the WAL so far (recovery replay included).
+  SegmentRetention retention_;
+  Round wal_logged_round_ = 0;
+  // Horizon of the current chain's base: the store's fallback once the next
+  // base lands, so the bound below which that base retires segments.
+  Round chain_base_horizon_ = 0;
 
   // --- Delta chain + threshold certification (loop-thread state) -----------
   bool certifying_ = false;  // checkpointing_ && checkpoint_certify
@@ -560,8 +559,14 @@ class NodeRuntime {
   struct ChainLinkRt {
     std::uint64_t sequence = 0;
     std::uint64_t cut_index = 0;
+    Round horizon = 0;
     std::shared_ptr<const Bytes> record;
     std::shared_ptr<const Bytes> cert;
+    // The cut's live DAG suffix, round-ascending, as block pointers (no
+    // bytes): encoded only when this link is the tip of a served chain.
+    // Blocks below `horizon` are skipped then (a suffix rebuilt by
+    // recovery is shared by every recovered link).
+    std::shared_ptr<const std::vector<BlockPtr>> suffix;
   };
   std::vector<ChainLinkRt> chain_links_;
   std::uint64_t chain_base_seq_ = 0;

@@ -87,6 +87,18 @@ class Reader {
     return d;
   }
 
+  // An element count off the wire, bounded by the bytes actually present:
+  // each element encodes to at least `min_element_bytes`, so a larger count
+  // is malformed. Callers may then reserve() from it — a claimed 2^60
+  // elements is a SerdeError here, never a std::length_error later.
+  std::uint64_t count(std::size_t min_element_bytes, const char* what) {
+    const std::uint64_t n = varint();
+    if (n > remaining() / min_element_bytes) {
+      throw SerdeError(std::string(what) + " count exceeds payload");
+    }
+    return n;
+  }
+
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return remaining() == 0; }
 

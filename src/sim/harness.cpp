@@ -357,12 +357,14 @@ struct SimHarness::Impl {
         for (const auto& block : actions.inserted) {
           wal_stages[v].records.emplace_back(block, block->author() == v);
         }
+        note_logged(v, actions.inserted);
         schedule_wal_flush(v);
       }
     } else if (wals[v] != nullptr) {
       for (const auto& block : actions.inserted) {
         wals[v]->append_block(*block, block->author() == v);
       }
+      note_logged(v, actions.inserted);
     } else if (!config.restarts.empty()) {
       for (const auto& block : actions.inserted) mem_logs[v].push_back(block);
     }
@@ -392,10 +394,19 @@ struct SimHarness::Impl {
     maybe_cut_checkpoint(v);
   }
 
-  // The deterministic checkpoint cut: capture the consistent state and roll
-  // the active segment NOW, complete (publish/persist/retire) a write-delay
-  // later. A crash in between drops the in-flight checkpoint — the
-  // completion event is epoch-guarded exactly like the group-commit flush.
+  // Retention input: the highest round handed to a segmented log (staged
+  // records count — a mark taken before their flush is only conservative).
+  void note_logged(ValidatorId v, const std::vector<BlockPtr>& inserted) {
+    if (seg_wals[v] == nullptr) return;
+    for (const auto& block : inserted) {
+      ckpts[v].logged_round = std::max(ckpts[v].logged_round, block->round());
+    }
+  }
+
+  // The deterministic checkpoint cut: capture the consistent state NOW,
+  // complete (publish/persist/retire) a write-delay later. A crash in
+  // between drops the in-flight checkpoint — the completion event is
+  // epoch-guarded exactly like the group-commit flush.
   void maybe_cut_checkpoint(ValidatorId v) {
     if (!running(v) || !checkpointing_active(v)) return;
     auto& state = ckpts[v];
@@ -438,44 +449,45 @@ struct SimHarness::Impl {
       record = encode_checkpoint(data);
     }
 
-    // Segments roll (and retire) only at base cuts: a delta keeps its whole
-    // chain's WAL suffix live, so retirement is chain-granular.
-    const std::uint64_t keep_from =
-        is_base && seg_wals[v] != nullptr ? seg_wals[v]->roll_segment() : 0;
+    // Retention (see NodeRuntime::start_cut): a base retires the segments
+    // holding only blocks below the horizon of the chain it replaces.
+    std::uint64_t keep_from = 0;
+    if (seg_wals[v] != nullptr) {
+      state.retention.note_cut(state.logged_round, seg_wals[v]->active_segment());
+      if (is_base) keep_from = state.retention.keep_from(state.base_horizon);
+    }
     state.in_flight = true;
     auto encoded = std::make_shared<const Bytes>(std::move(record));
+    auto suffix = std::make_shared<const std::vector<BlockPtr>>(
+        checkpoint_suffix(nodes[v]->dag(), data.horizon));
     auto cut = std::make_shared<const CheckpointData>(std::move(data));
     queue.schedule_after(
         config.checkpoint_write_delay,
-        [this, v, encoded, cut, is_base, horizon, keep_from,
+        [this, v, encoded, suffix, cut, is_base, horizon, keep_from,
          epoch = wal_stages[v].epoch] {
           if (wal_stages[v].epoch != epoch || !running(v)) return;  // crashed mid-write
           auto& done = ckpts[v];
           done.in_flight = false;
           done.last_horizon = horizon;
           if (is_base) {
-            done.latest = encoded;
             done.chain.clear();
             done.base_seq = cut->sequence;
+            done.base_horizon = cut->horizon;
           } else {
             checkpoint_delta_cuts->add();
           }
           done.chain.push_back(encoded);
+          done.tip_suffix = suffix;
           done.last_cut = cut;
           if (ckpt_stores[v] != nullptr) {
             if (is_base) {
               ckpt_stores[v]->write(cut->sequence, {encoded->data(), encoded->size()});
+              if (seg_wals[v] != nullptr) seg_wals[v]->retire_segments_below(keep_from);
               ckpt_stores[v]->retire(2);
             } else {
               ckpt_stores[v]->write_delta(cut->sequence,
                                           {encoded->data(), encoded->size()});
             }
-          }
-          // One chain of retirement lag (see NodeRuntime::finish_checkpoint):
-          // the previous chain's segments retire when the next base lands.
-          if (is_base && seg_wals[v] != nullptr) {
-            seg_wals[v]->retire_segments_below(done.keep_from);
-            done.keep_from = keep_from;
           }
           checkpoints_written->add();
           schedule_cut_cert(v, cut);
@@ -525,9 +537,10 @@ struct SimHarness::Impl {
   }
 
   // A catching-up validator asked `server` for its live base+delta chain.
-  // The transfer ships the whole chain as one kCheckpointChain-style frame
-  // and pays sender-side bandwidth serialization on the frame bytes plus
-  // link latency, like a (large) block send.
+  // The transfer ships the whole chain plus the tip's live suffix as one
+  // kCheckpointChain-style frame and pays sender-side bandwidth
+  // serialization on the frame bytes plus link latency, like a (large)
+  // block send.
   void serve_checkpoint(ValidatorId server, ValidatorId client) {
     const auto& chain = ckpts[server].chain;
     if (chain.empty() || !alive(client)) return;
@@ -536,7 +549,8 @@ struct SimHarness::Impl {
     for (const auto& record : chain) {
       links.emplace_back(BytesView{record->data(), record->size()}, BytesView{});
     }
-    auto frame = std::make_shared<const Bytes>(encode_checkpoint_chain_frame(links));
+    auto frame = std::make_shared<const Bytes>(
+        encode_checkpoint_chain_frame(links, *ckpts[server].tip_suffix));
     const TimeMicros start = std::max(queue.now(), egress_free[server]);
     egress_free[server] = start + transmission_delay(frame->size());
     const TimeMicros arrival =
@@ -557,19 +571,19 @@ struct SimHarness::Impl {
     ValidationOptions validation;
     validation.verify_signature = config.verify_crypto;
     validation.verify_coin_share = config.verify_crypto;
-    CheckpointData data;
+    ChainVerifyResult result;
     try {
-      ChainVerifyResult result = verify_checkpoint_chain(
+      result = verify_checkpoint_chain(
           decode_checkpoint_chain_frame({encoded.data(), encoded.size()}),
           setup.committee, options_for(config), config.checkpoint_interval,
           validation, verifier_cache.get());
       if (!result.error.empty()) return;  // refused: the requester retries
-      data = std::move(result.data);
     } catch (const serde::SerdeError&) {
       return;  // torn/corrupt frame: the requester retries elsewhere
     }
+    const CheckpointData& data = result.data;
     const SlotId before = nodes[client]->committer().next_pending_slot();
-    Actions actions = nodes[client]->install_checkpoint(data, queue.now());
+    Actions actions = nodes[client]->install_checkpoint(data, result.suffix, queue.now());
     if (nodes[client]->committer().next_pending_slot() <= before) return;  // stale
     snapshot_catchups->add();
     scanners[client] = make_scanner(client);
@@ -836,10 +850,13 @@ struct SimHarness::Impl {
     };
 
     // Recovery prefers newest valid checkpoint + log-suffix replay: install
-    // first (it sets the horizon, so sub-horizon log records are skipped),
-    // then replay whatever the log still holds. Recovery from an older
+    // the blockless cut first (it sets the horizon, so sub-horizon log
+    // records are skipped, and decides nothing), then replay whatever the
+    // log still holds — every slot past the cut's head commits there, so
+    // each replayed commit reaches the executor. Recovery from an older
     // checkpoint (a newer one corrupted mid-write) degrades to more replay,
-    // never to divergence — the log records are a superset of every cut.
+    // never to divergence: retention keeps every block at or above the
+    // fallback chain's horizon.
     if (checkpointing_active(v)) {
       std::optional<CheckpointData> recovered;
       if (ckpt_stores[v] != nullptr) {
@@ -864,7 +881,7 @@ struct SimHarness::Impl {
       }
       ckpts[v].last_cut.reset();  // the diff base dies with the process
       if (recovered.has_value()) {
-        nodes[v]->install_checkpoint(*recovered, queue.now());
+        nodes[v]->install_checkpoint(*recovered, {}, queue.now());
         ckpts[v].last_horizon = recovered->horizon;
         ckpts[v].seq = std::max(ckpts[v].seq, recovered->sequence);
         if (ckpts[v].seq == recovered->sequence) {
@@ -1083,11 +1100,13 @@ struct SimHarness::Impl {
   // store in in-memory runs (they survive crashes, like mem_logs); on-disk
   // runs additionally persist through ckpt_stores.
   struct CkptState {
-    std::shared_ptr<const Bytes> latest;  // encoded, completed base checkpoint
     // The live base+delta chain, base first: every completed cut's encoded
-    // record. Cleared at each re-base; served whole for catch-up.
+    // record. Cleared at each re-base; served whole for catch-up, with the
+    // tip cut's live suffix (block pointers, encoded at serve time).
     std::vector<std::shared_ptr<const Bytes>> chain;
-    std::uint64_t base_seq = 0;  // sequence of chain[0]
+    std::shared_ptr<const std::vector<BlockPtr>> tip_suffix;
+    std::uint64_t base_seq = 0;       // sequence of chain[0]
+    Round base_horizon = 0;           // horizon of chain[0]: the next fallback
     // The previous completed cut: the diff base for the next delta attempt.
     // Process state (unlike `chain`): reset across restarts unless the
     // recovered cut is the newest bookkept one.
@@ -1095,9 +1114,10 @@ struct SimHarness::Impl {
     std::uint64_t seq = 0;
     Round last_horizon = 0;
     bool in_flight = false;
-    // Segment boundary of the previous completed chain: retirement lags one
-    // base cut so recovery can fall back past a corrupt newest chain.
-    std::uint64_t keep_from = 0;
+    // Segment retention (checkpoint/segmented_wal.h): a mark per cut and
+    // the highest block round handed to the log, across restarts.
+    SegmentRetention retention;
+    Round logged_round = 0;
   };
   std::vector<CkptState> ckpts;
   std::vector<std::unique_ptr<CheckpointStore>> ckpt_stores;

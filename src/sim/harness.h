@@ -79,15 +79,16 @@ struct SimConfig {
   // Deterministic model of the checkpoint subsystem (checkpoint/). Nonzero
   // checkpoint_interval (with a gc_depth-bearing committer_override) cuts a
   // checkpoint whenever a validator's GC horizon advances that many rounds:
-  // the consistent capture and (with wal_dir) the segment roll happen at the
-  // cut event, and the encoded snapshot becomes visible — installed as the
-  // validator's latest, written to its CheckpointStore, covered segments
-  // retired — only when a completion event fires checkpoint_write_delay
-  // later. A crash in between drops the in-flight checkpoint (epoch-guarded,
-  // like the group-commit flush): exactly what a real crash-during-
-  // checkpoint loses. Peers that request sub-horizon ancestors get horizon
-  // notices, and a stuck validator fetches + installs the serving peer's
-  // latest snapshot — the real codec and verification, over simulated links.
+  // the consistent (blockless) capture and its retention mark happen at the
+  // cut event, and the encoded snapshot becomes visible — linked into the
+  // validator's chain, written to its CheckpointStore, segments below the
+  // fallback horizon retired — only when a completion event fires
+  // checkpoint_write_delay later. A crash in between drops the in-flight
+  // checkpoint (epoch-guarded, like the group-commit flush): exactly what a
+  // real crash-during-checkpoint loses. Peers that request sub-horizon
+  // ancestors get horizon notices, and a stuck validator fetches + installs
+  // the serving peer's chain and live suffix — the real codec and
+  // verification, over simulated links.
   Round checkpoint_interval = 0;
   TimeMicros checkpoint_write_delay = millis(5);
   // Segment-roll budget of the on-disk layout (wal_dir runs); the sim uses

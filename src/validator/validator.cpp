@@ -356,16 +356,12 @@ CheckpointData ValidatorCore::capture_checkpoint() const {
   if (default_committer_ != nullptr) {
     data.delivered = default_committer_->delivered_snapshot(data.horizon);
   }
-  // The live suffix, round-ascending so installation inserts parents before
-  // children (a parent's round is strictly below its child's). Genesis is
-  // excluded: every validator constructs it locally.
-  for (Round r = std::max<Round>(1, data.horizon); r <= dag_.highest_round(); ++r) {
-    for (const BlockPtr& block : dag_.blocks_at(r)) data.blocks.push_back(block);
-  }
   return data;
 }
 
-Actions ValidatorCore::install_checkpoint(const CheckpointData& data, TimeMicros now) {
+Actions ValidatorCore::install_checkpoint(const CheckpointData& data,
+                                          std::span<const BlockPtr> suffix,
+                                          TimeMicros now) {
   Actions actions;
   if (default_committer_ == nullptr) return actions;  // no restore path
   if (data.head <= committer_->next_pending_slot()) return actions;  // not ahead
@@ -388,7 +384,7 @@ Actions ValidatorCore::install_checkpoint(const CheckpointData& data, TimeMicros
   // Install the DAG suffix through the synchronizer so parked descendants
   // cascade. The suffix is round-ascending and the horizon is set, so
   // nothing can report missing parents.
-  for (const BlockPtr& block : data.blocks) {
+  for (const BlockPtr& block : suffix) {
     if (dag_.contains(block->ref())) continue;
     if (block->author() == config_.id && block->round() > last_proposed_round_) {
       // Our own pre-crash history, coming back to us via a peer's snapshot:
@@ -405,8 +401,9 @@ Actions ValidatorCore::install_checkpoint(const CheckpointData& data, TimeMicros
   }
 
   // Adopt the consumption state: the decided log with blocks re-resolved
-  // against the (just installed) DAG — commits below the horizon keep only
-  // their ref.
+  // against the (just installed) DAG. Commits below the horizon, and every
+  // commit of a suffix-less recovery install, keep only their ref — nothing
+  // reads a consumed decision's block.
   std::vector<SlotDecision> decided;
   decided.reserve(data.decided.size());
   for (const auto& d : data.decided) {
@@ -442,11 +439,11 @@ Actions ValidatorCore::install_checkpoint(const CheckpointData& data, TimeMicros
   ++checkpoints_installed_;
   last_catchup_request_.reset();  // a fresh stall may legitimately re-request
 
-  // The installed suffix may already decide slots past the head. Deliberately
-  // NO maybe_propose here: during the recovery-path install the driver
-  // discards these actions, and a proposal minted now would enter the DAG
-  // without ever being logged or broadcast — the next tick or input proposes
-  // instead, through the normal logged path.
+  // The installed suffix may already decide slots past the head (a recovery
+  // install has no suffix, so it decides nothing: its WAL replay commits
+  // inline). Deliberately NO maybe_propose here: a proposal minted now would
+  // enter the DAG before the driver could log or broadcast it — the next
+  // tick or input proposes instead, through the normal logged path.
   (void)now;
   commit_and_gc(actions);
   return actions;

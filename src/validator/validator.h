@@ -13,6 +13,7 @@
 
 #include <optional>
 #include <set>
+#include <span>
 
 #include "checkpoint/checkpoint.h"
 #include "client/metrics.h"
@@ -102,23 +103,26 @@ class ValidatorCore {
   // Actions::checkpoint_requests entry.
   Actions on_peer_horizon(ValidatorId peer, Round horizon, TimeMicros now);
 
-  // Serializes the consistent cut at the current GC horizon: consumption
-  // head, decided log, delivered marks, live DAG suffix, proposer round.
-  // The driver adds sequence and the application snapshot before encoding.
+  // Captures the consistent cut at the current GC horizon: consumption
+  // head, decided log, delivered marks, proposer round. The live DAG suffix
+  // is not part of it (checkpoint/checkpoint.h checkpoint_suffix). The
+  // driver adds sequence and the application snapshot before encoding.
   // Requires checkpoint_capable().
   CheckpointData capture_checkpoint() const;
 
   // Installs a verified checkpoint: prunes local state below its horizon,
-  // inserts the DAG suffix (returned via Actions::inserted so the driver
-  // logs it), adopts the decided log + head, and restores the proposer round
-  // from any own blocks it contains. Used both for recovery (newest local
-  // checkpoint before segment replay) and snapshot catch-up (a peer's
-  // checkpoint received off the wire — run checkpoint/checkpoint.h
-  // verify_checkpoint first). No-op when the checkpoint is not ahead of this
-  // validator or a custom committer_factory rule is active. In
-  // parallel-commit mode the driver must rebuild its scanner afterwards: the
-  // replica it fed no longer matches the installed DAG.
-  Actions install_checkpoint(const CheckpointData& data, TimeMicros now);
+  // inserts the live DAG `suffix` (returned via Actions::inserted so the
+  // driver logs it), adopts the decided log + head, and restores the
+  // proposer round from the cut and any own blocks in the suffix. Recovery
+  // installs the newest local cut with an empty suffix, then replays the
+  // WAL segments; snapshot catch-up installs a peer's cut with the suffix
+  // its chain frame carried (run checkpoint/checkpoint.h verify_checkpoint
+  // first). No-op when the checkpoint is not ahead of this validator or a
+  // custom committer_factory rule is active. In parallel-commit mode the
+  // driver must rebuild its scanner afterwards: the replica it fed no longer
+  // matches the installed DAG.
+  Actions install_checkpoint(const CheckpointData& data,
+                             std::span<const BlockPtr> suffix, TimeMicros now);
 
   // Can this core capture/install checkpoints? True for the default
   // (Mahi-Mahi) committer; custom committer_factory rules (e.g. the Tusk

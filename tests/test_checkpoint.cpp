@@ -9,9 +9,11 @@
 // state digest) to replaying the full monolithic log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <unordered_set>
 
 #include "app/kv_command.h"
 #include "app/kv_store.h"
@@ -106,10 +108,11 @@ constexpr Round kCkptInterval = 6;
 // Drives an observer through `steps` deliveries, mirroring every insertion
 // into BOTH layouts (monolithic FileWal at `mono_path`, SegmentedWal +
 // CheckpointStore at `seg_dir`) the way the runtime does: append + sync per
-// batch, checkpoint cut + segment roll when the horizon advances, retire
-// with one cut of lag. Cuts happen at step starts, so the log's final record
-// is always strictly after the newest cut (a torn tail never reaches into
-// checkpointed state).
+// batch, a blockless checkpoint cut when the horizon advances, and the
+// shared retention rule (SegmentRetention) retiring segments below the
+// fallback cut's horizon. Cuts happen at step starts, so the log's final
+// record is always strictly after the newest cut (a torn tail never reaches
+// into checkpointed state).
 struct DriveResult {
   std::unique_ptr<ValidatorCore> core;
   app::KvStore kv;
@@ -125,8 +128,10 @@ DriveResult drive(const Workload& load, std::size_t steps,
   seg_options.segment_bytes = 4096;  // small: every trial exercises rolls
   SegmentedWal seg(seg_dir, seg_options);
   CheckpointStore store(seg_dir);
+  SegmentRetention retention;
+  Round logged_round = 0;
   std::uint64_t sequence = 0;
-  std::uint64_t keep_from_previous = 0;
+  Round fallback_horizon = 0;  // the previous base's: the store's fallback
   Round last_horizon = 0;
 
   for (std::size_t i = 0; i < steps && i < load.blocks.size(); ++i) {
@@ -136,12 +141,12 @@ DriveResult drive(const Workload& load, std::size_t steps,
       data.sequence = ++sequence;
       data.app_state = out.kv.snapshot_bytes();
       data.app_digest = out.kv.state_digest();
-      const std::uint64_t keep_from = seg.roll_segment();
+      retention.note_cut(logged_round, seg.active_segment());
       const Bytes encoded = encode_checkpoint(data);
       store.write(data.sequence, {encoded.data(), encoded.size()});
       store.retire(2);
-      seg.retire_segments_below(keep_from_previous);
-      keep_from_previous = keep_from;
+      seg.retire_segments_below(retention.keep_from(fallback_horizon));
+      fallback_horizon = data.horizon;
       last_horizon = horizon;
       ++out.checkpoints;
     }
@@ -150,6 +155,7 @@ DriveResult drive(const Workload& load, std::size_t steps,
     for (const BlockPtr& inserted : actions.inserted) {
       mono.append_block(*inserted, false);
       seg.append_block(*inserted, false);
+      logged_round = std::max(logged_round, inserted->round());
     }
     mono.sync();
     seg.sync();
@@ -178,7 +184,7 @@ DriveResult recover_checkpointed(const Workload& load, const std::string& seg_di
     // The snapshot must hash to the digest the writer recorded — the install
     // is refused otherwise (state verification, not trust).
     EXPECT_EQ(out.kv.state_digest(), data->app_digest);
-    out.core->install_checkpoint(*data, 0);
+    out.core->install_checkpoint(*data, {}, 0);
     ++out.checkpoints;
   }
   FileWal::Visitor visitor;
@@ -191,9 +197,9 @@ DriveResult recover_checkpointed(const Workload& load, const std::string& seg_di
 
 // Like drive(), but cuts land as delta links while the base+delta chain is
 // short enough (mirroring NodeRuntime::start_cut): the app contributes its
-// touched-key window instead of a full snapshot, segments roll and retire
-// only at base cuts (chain-granular retirement, one chain of lag), and any
-// linkage mismatch falls back to a re-base. max_deltas == 0 reproduces
+// touched-key window instead of a full snapshot, segments retire only at
+// base cuts (below the replaced chain's base horizon, per the shared rule),
+// and any linkage mismatch falls back to a re-base. max_deltas == 0 reproduces
 // drive()'s monolithic every-cut-is-a-base layout through the same code.
 struct ChainDriveResult {
   std::unique_ptr<ValidatorCore> core;
@@ -212,9 +218,11 @@ ChainDriveResult drive_chain(const Workload& load, std::size_t steps,
   seg_options.segment_bytes = 4096;
   SegmentedWal seg(seg_dir, seg_options);
   CheckpointStore store(seg_dir);
+  SegmentRetention retention;
+  Round logged_round = 0;
   std::uint64_t sequence = 0;
   std::uint64_t base_sequence = 0;
-  std::uint64_t keep_from_previous = 0;
+  Round base_horizon = 0;
   std::optional<CheckpointData> last_cut;
   Round last_horizon = 0;
 
@@ -245,12 +253,12 @@ ChainDriveResult drive_chain(const Workload& load, std::size_t steps,
         base_sequence = data.sequence;
       }
 
+      retention.note_cut(logged_round, seg.active_segment());
       if (is_base) {
         store.write(data.sequence, {record.data(), record.size()});
         if (retire_keep > 0) store.retire(retire_keep);
-        const std::uint64_t keep_from = seg.roll_segment();
-        seg.retire_segments_below(keep_from_previous);
-        keep_from_previous = keep_from;
+        seg.retire_segments_below(retention.keep_from(base_horizon));
+        base_horizon = data.horizon;
       } else {
         store.write_delta(data.sequence, {record.data(), record.size()});
       }
@@ -263,6 +271,7 @@ ChainDriveResult drive_chain(const Workload& load, std::size_t steps,
     for (const BlockPtr& inserted : actions.inserted) {
       mono.append_block(*inserted, false);
       seg.append_block(*inserted, false);
+      logged_round = std::max(logged_round, inserted->round());
     }
     mono.sync();
     seg.sync();
@@ -280,7 +289,7 @@ ChainDriveResult recover_chain(const Workload& load, const std::string& seg_dir)
     // The reconstructed base+delta state must hash to the digest the writer
     // recorded at the newest link — the install is refused otherwise.
     EXPECT_EQ(out.kv.state_digest(), data->app_digest);
-    out.core->install_checkpoint(*data, 0);
+    out.core->install_checkpoint(*data, {}, 0);
     ++out.checkpoints;
   }
   FileWal::Visitor visitor;
@@ -359,8 +368,13 @@ TEST(SegmentedWal, RetireUpdatesManifestAtomicallyAndReplaySkipsRetired) {
   options.segment_bytes = 2048;
   auto seg = std::make_unique<SegmentedWal>(dir, options);
   for (const BlockPtr& block : load.blocks) seg->append_block(*block, false);
-  const std::uint64_t boundary = seg->roll_segment();
+  seg->sync();
+  const std::uint64_t boundary = seg->active_segment();
   ASSERT_GE(boundary, 2u);
+  FileWal::Visitor count_visitor;
+  count_visitor.on_block = [](BlockPtr, bool) {};
+  const std::uint64_t active_records =
+      FileWal::replay(SegmentedWal::segment_path(dir, boundary), count_visitor).records;
 
   seg->retire_segments_below(boundary);
   EXPECT_EQ(seg->base_segment(), boundary);
@@ -381,7 +395,9 @@ TEST(SegmentedWal, RetireUpdatesManifestAtomicallyAndReplaySkipsRetired) {
   visitor.on_block = [&](BlockPtr, bool) { ++replayed; };
   const auto result = SegmentedWal::replay(dir, visitor);
   EXPECT_FALSE(result.corrupt_tail);
-  EXPECT_EQ(replayed, 0u);  // everything before the boundary was retired
+  // Everything before the boundary was retired: only the active segment is
+  // left.
+  EXPECT_EQ(replayed, active_records);
 
   // Appends continue cleanly after reopen (the layout survives restarts).
   seg.reset();
@@ -391,7 +407,7 @@ TEST(SegmentedWal, RetireUpdatesManifestAtomicallyAndReplaySkipsRetired) {
   reopened.sync();
   replayed = 0;
   SegmentedWal::replay(dir, visitor);
-  EXPECT_EQ(replayed, 1u);
+  EXPECT_EQ(replayed, active_records + 1);
 }
 
 TEST(SegmentedWal, TornTailOfActiveSegmentTruncates) {
@@ -497,31 +513,31 @@ TEST(Checkpoint, CodecRoundTripsACapturedCut) {
   EXPECT_EQ(decoded.head, data.head);
   EXPECT_EQ(decoded.decided.size(), data.decided.size());
   EXPECT_EQ(decoded.delivered, data.delivered);
-  ASSERT_EQ(decoded.blocks.size(), data.blocks.size());
-  for (std::size_t i = 0; i < decoded.blocks.size(); ++i) {
-    EXPECT_EQ(decoded.blocks[i]->digest(), data.blocks[i]->digest());
-  }
   EXPECT_EQ(decoded.app_digest, data.app_digest);
   EXPECT_EQ(app::KvStore::restore({decoded.app_state.data(), decoded.app_state.size()})
                 .state_digest(),
             kv.state_digest());
 
-  // The decoded cut passes semantic verification.
+  // The decoded cut, with its live suffix, passes semantic verification.
   ValidationOptions validation;
   validation.verify_signature = false;
   validation.verify_coin_share = false;
   const CommitterOptions shape = observer_config(kGcDepth).committer;
-  EXPECT_EQ(verify_checkpoint(decoded, load.setup.committee, shape, validation), "");
+  const std::vector<BlockPtr> suffix = checkpoint_suffix(core->dag(), data.horizon);
+  EXPECT_EQ(verify_checkpoint(decoded, suffix, load.setup.committee, shape, validation),
+            "");
 
   // A head the decided log does not account for slot-by-slot is rejected —
   // an empty log cannot claim progress, and a gap in the chain is caught.
   CheckpointData fabricated = decoded;
   fabricated.decided.clear();
-  EXPECT_NE(verify_checkpoint(fabricated, load.setup.committee, shape, validation), "");
+  EXPECT_NE(verify_checkpoint(fabricated, suffix, load.setup.committee, shape, validation),
+            "");
   CheckpointData gapped = decoded;
   ASSERT_GT(gapped.decided.size(), 2u);
   gapped.decided.erase(gapped.decided.begin() + 1);
-  EXPECT_NE(verify_checkpoint(gapped, load.setup.committee, shape, validation), "");
+  EXPECT_NE(verify_checkpoint(gapped, suffix, load.setup.committee, shape, validation),
+            "");
 
   // Any flipped payload byte is caught by the CRC frame.
   Bytes corrupt = encoded;
@@ -622,7 +638,8 @@ TEST(Checkpoint, InstallReproducesTheCapturedValidatorAndKeepsAgreeing) {
   app::KvStore target_kv =
       app::KvStore::restore({wire.app_state.data(), wire.app_state.size()});
   ASSERT_EQ(target_kv.state_digest(), wire.app_digest);
-  Actions install = target->install_checkpoint(wire, 0);
+  Actions install =
+      target->install_checkpoint(wire, checkpoint_suffix(source->dag(), wire.horizon), 0);
   EXPECT_FALSE(install.inserted.empty());
   EXPECT_EQ(target->checkpoints_installed(), 1u);
 
@@ -706,7 +723,8 @@ TEST(Checkpoint, FetchBelowHorizonTriggersTheCatchupHandshake) {
 
   // Install closes the loop: the late validator lands on the peer's state.
   CheckpointData data = ahead->capture_checkpoint();
-  late->install_checkpoint(data, millis(20));
+  late->install_checkpoint(data, checkpoint_suffix(ahead->dag(), data.horizon),
+                          millis(20));
   EXPECT_EQ(late->committer().next_pending_slot(),
             ahead->committer().next_pending_slot());
 }
@@ -928,7 +946,8 @@ struct CanonicalCutter {
   struct Cut {
     CheckpointData data;
     std::uint64_t cut_index = 0;
-    Bytes app_delta;  // touched-key window since the previous cut
+    Bytes app_delta;               // touched-key window since the previous cut
+    std::vector<BlockPtr> suffix;  // the live DAG suffix at the cut
   };
 
   explicit CanonicalCutter(const Workload& load, Round interval)
@@ -967,7 +986,8 @@ struct CanonicalCutter {
         data.app_digest = kv_.state_digest();
         Bytes app_delta = kv_.delta_bytes();
         kv_.clear_delta_window();
-        cuts.push_back({std::move(data), next_k_, std::move(app_delta)});
+        std::vector<BlockPtr> suffix = checkpoint_suffix(core_->dag(), data.horizon);
+        cuts.push_back({std::move(data), next_k_, std::move(app_delta), std::move(suffix)});
       }
       ++next_k_;
     }
@@ -1068,16 +1088,17 @@ TEST(CheckpointCert, CertifiedChainAcceptsAndMismatchedContentRefuses) {
   const Bytes base_cert = certify(load, payload_for(base), {0, 1, 2});
   const Bytes tip_cert = certify(load, payload_for(tip), {1, 2, 3});
 
-  // Round-trips through the wire codec: what a kCheckpointChain frame carries.
-  const auto frame_of = [](const std::vector<std::pair<const Bytes*, const Bytes*>>&
-                               links) {
+  // Round-trips through the wire codec: what a kCheckpointChain frame
+  // carries (the links, then the tip's live suffix).
+  const auto frame_of = [&tip](const std::vector<std::pair<const Bytes*, const Bytes*>>&
+                                   links) {
     std::vector<std::pair<BytesView, BytesView>> views;
     for (const auto& [record, cert] : links) {
       views.emplace_back(BytesView{record->data(), record->size()},
                          cert != nullptr ? BytesView{cert->data(), cert->size()}
                                          : BytesView{});
     }
-    const Bytes encoded = encode_checkpoint_chain_frame(views);
+    const Bytes encoded = encode_checkpoint_chain_frame(views, tip.suffix);
     return decode_checkpoint_chain_frame({encoded.data(), encoded.size()});
   };
 
@@ -1138,14 +1159,239 @@ TEST(Checkpoint, RecordsFitTheirCapacityBound) {
   const auto& tip = cutter.cuts[cutter.cuts.size() - 1];
   const CheckpointDelta delta =
       make_checkpoint_delta(base, tip.data, base.sequence, tip.app_delta);
-  ASSERT_FALSE(base.blocks.empty());
-  ASSERT_FALSE(delta.blocks_added.empty());
   EXPECT_LE(encode_checkpoint(base).size(),
             checkpoint_record_capacity(base.decided.size(), base.delivered.size(),
-                                       base.blocks, base.app_state.size()));
+                                       base.app_state.size()));
   EXPECT_LE(encode_checkpoint_delta(delta).size(),
             checkpoint_record_capacity(delta.decided_suffix.size(), delta.delivered.size(),
-                                       delta.blocks_added, delta.app_delta.size()));
+                                       delta.app_delta.size()));
+}
+
+// --- Blockless records --------------------------------------------------------
+
+// One fully connected 4-validator DAG whose every block carries one batch of
+// `payload` bytes — the same shape (and so the same commit sequence) at any
+// payload size.
+std::vector<BlockPtr> payload_blocks(std::size_t payload, Round rounds) {
+  DagBuilder builder(4);
+  std::vector<BlockPtr> blocks;
+  for (Round r = 1; r <= rounds; ++r) {
+    std::vector<BlockRef> parents;
+    for (const BlockPtr& parent : builder.dag().blocks_at(r - 1)) {
+      parents.push_back(parent->ref());
+    }
+    for (ValidatorId v = 0; v < 4; ++v) {
+      TxBatch batch;
+      batch.id = r * 4 + v;
+      batch.payload.assign(payload, static_cast<std::uint8_t>(v));
+      blocks.push_back(builder.add_block(v, r, parents, {batch}));
+    }
+  }
+  return blocks;
+}
+
+TEST(Checkpoint, RecordsCarryNoBlocks) {
+  // A cut records only what the WAL does not hold: base and delta records
+  // keep their exact size when every block's payload grows tenfold.
+  const auto record_sizes = [](std::size_t payload) {
+    Workload shape(1);  // committee only
+    auto core = shape.make_core(kGcDepth);
+    const std::vector<BlockPtr> blocks = payload_blocks(payload, 36);
+    std::vector<CheckpointData> cuts;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      core->on_block(blocks[i], blocks[i]->author(), 0);
+      if (i + 1 == 24 * 4 || i + 1 == blocks.size()) {
+        cuts.push_back(core->capture_checkpoint());
+        cuts.back().sequence = cuts.size();
+      }
+    }
+    EXPECT_GT(cuts[0].horizon, 0u);
+    EXPECT_LT(cuts[0].head, cuts[1].head);
+    return std::make_pair(
+        encode_checkpoint(cuts[0]).size(),
+        encode_checkpoint_delta(make_checkpoint_delta(cuts[0], cuts[1], 1, {})).size());
+  };
+  const auto small = record_sizes(1000);
+  const auto large = record_sizes(10000);
+  EXPECT_EQ(small.first, large.first) << "base record grew with block payloads";
+  EXPECT_EQ(small.second, large.second) << "delta record grew with block payloads";
+}
+
+TEST(Checkpoint, BlocklessCodecsRejectAbsurdElementCountsAsDecodeErrors) {
+  // The blockless formats bound every attacker-controlled element count by
+  // the bytes present (serde::Reader::count), across base, delta, chain
+  // frame and certificate alike.
+  const std::uint64_t absurd = std::uint64_t{1} << 60;
+  const auto base_frame = [](std::uint64_t decided, std::uint64_t delivered) {
+    serde::Writer w;
+    w.u32(0x4d4d4332);  // kCheckpointMagic
+    w.u8(1);            // kCheckpointVersion
+    w.u64(1);           // sequence
+    w.u32(0);           // author
+    w.varint(4);        // horizon
+    w.varint(4);        // head slot round
+    w.u32(0);           // head slot leader offset
+    w.varint(0);        // last_proposed_round
+    w.varint(decided);
+    w.varint(delivered);
+    return wal_frame_record({w.data().data(), w.data().size()});
+  };
+  const auto delta_frame = [](std::uint64_t decided, std::uint64_t delivered) {
+    serde::Writer w;
+    w.u32(0x4d4d4432);  // kDeltaMagic
+    w.u8(1);            // kDeltaVersion
+    w.u64(2);           // sequence
+    w.u64(1);           // prev_sequence
+    w.u64(1);           // base_sequence
+    w.u32(0);           // author
+    w.varint(4);        // horizon
+    w.varint(4);        // prev_head round
+    w.u32(0);
+    w.varint(5);        // head round
+    w.u32(0);
+    w.varint(0);        // last_proposed_round
+    w.varint(decided);
+    w.varint(delivered);
+    return wal_frame_record({w.data().data(), w.data().size()});
+  };
+  for (const Bytes& frame : {base_frame(absurd, 0), base_frame(0, absurd)}) {
+    EXPECT_THROW(decode_checkpoint({frame.data(), frame.size()}), serde::SerdeError);
+  }
+  for (const Bytes& frame : {delta_frame(absurd, 0), delta_frame(0, absurd)}) {
+    EXPECT_THROW(decode_checkpoint_delta({frame.data(), frame.size()}),
+                 serde::SerdeError);
+  }
+
+  serde::Writer links;
+  links.varint(absurd);
+  EXPECT_THROW(decode_checkpoint_chain_frame({links.data().data(), links.data().size()}),
+               serde::SerdeError);
+  serde::Writer suffix;
+  suffix.varint(0);  // no links
+  suffix.varint(absurd);
+  EXPECT_THROW(
+      decode_checkpoint_chain_frame({suffix.data().data(), suffix.data().size()}),
+      serde::SerdeError);
+
+  serde::Writer cert;
+  cert.u64(1);      // cut index
+  cert.varint(4);   // head round
+  cert.u32(0);
+  cert.digest(Digest{});
+  cert.digest(Digest{});
+  cert.varint(absurd);
+  EXPECT_THROW(
+      decode_checkpoint_certificate({cert.data().data(), cert.data().size()}),
+      serde::SerdeError);
+}
+
+TEST(CheckpointProperty, RetainedSegmentsHoldEveryBlockAtOrAboveTheFallbackHorizon) {
+  // The retention rule's contract: after every cut and retire, replaying the
+  // live segments yields every logged block at or above the horizon of the
+  // oldest chain the store keeps — what recovery from that fallback chain
+  // replays onto its blockless cut.
+  Workload load(60);
+  const std::string dir = fresh_dir("retention");
+  auto core = load.make_core(kGcDepth);
+  SegmentedWalOptions options;
+  options.segment_bytes = 2048;  // small: many segments to retire
+  SegmentedWal seg(dir, options);
+  CheckpointStore store(dir);
+  SegmentRetention retention;
+  Round logged_round = 0;
+  std::vector<BlockPtr> logged;
+  std::uint64_t sequence = 0;
+  std::uint64_t cuts = 0;
+  Round base_horizon = 0;
+  Round last_horizon = 0;
+
+  for (const BlockPtr& block : load.blocks) {
+    const Round horizon = core->dag().pruned_below();
+    if (horizon > 0 && horizon >= last_horizon + 2) {
+      last_horizon = horizon;
+      CheckpointData data = core->capture_checkpoint();
+      data.sequence = ++sequence;
+      retention.note_cut(logged_round, seg.active_segment());
+      if (cuts++ % 3 == 0) {  // a base, then two cuts the chain rides on
+        const Bytes encoded = encode_checkpoint(data);
+        store.write(data.sequence, {encoded.data(), encoded.size()});
+        seg.retire_segments_below(retention.keep_from(base_horizon));
+        store.retire(2);
+        base_horizon = data.horizon;
+      }
+      // The fallback is the oldest base the store still keeps.
+      const auto bases = CheckpointStore::list(dir);
+      ASSERT_FALSE(bases.empty());
+      std::ifstream in(CheckpointStore::checkpoint_path(dir, bases.front()),
+                       std::ios::binary);
+      const Bytes oldest((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+      const Round fallback = decode_checkpoint({oldest.data(), oldest.size()}).horizon;
+
+      std::unordered_set<Digest, DigestHasher> live;
+      FileWal::Visitor visitor;
+      visitor.on_block = [&](BlockPtr b, bool) { live.insert(b->digest()); };
+      EXPECT_FALSE(SegmentedWal::replay(dir, visitor).corrupt_tail);
+      for (const BlockPtr& b : logged) {
+        if (b->round() < fallback) continue;
+        EXPECT_TRUE(live.contains(b->digest()))
+            << b->ref().to_string() << " retired below fallback horizon r" << fallback;
+      }
+    }
+    for (const BlockPtr& inserted : core->on_block(block, block->author(), 0).inserted) {
+      seg.append_block(*inserted, false);
+      logged.push_back(inserted);
+      logged_round = std::max(logged_round, inserted->round());
+    }
+    seg.sync();
+  }
+  EXPECT_GE(CheckpointStore::list(dir).size(), 2u);
+  EXPECT_GT(seg.segments_retired(), 0u) << "the rule must actually retire segments";
+}
+
+TEST(CheckpointCert, ChainFrameSuffixMustBackCommitsAndStayAboveHorizon) {
+  // A catch-up frame's suffix section is held to the same checks the base's
+  // block section was: every committed slot at or above the horizon backed
+  // by a suffix block, and no block below the horizon.
+  Workload load(40);
+  CanonicalCutter cutter(load, 6);
+  for (const BlockPtr& block : load.blocks) cutter.feed(block);
+  ASSERT_FALSE(cutter.cuts.empty());
+  const auto& cut = cutter.cuts.back();
+  const Bytes record = encode_checkpoint(cut.data);
+  ValidationOptions validation;
+  validation.verify_signature = false;
+  validation.verify_coin_share = false;
+  const auto verify = [&](const std::vector<BlockPtr>& suffix) {
+    const Bytes encoded = encode_checkpoint_chain_frame(
+        {{BytesView{record.data(), record.size()}, BytesView{}}}, suffix);
+    return verify_checkpoint_chain(
+        decode_checkpoint_chain_frame({encoded.data(), encoded.size()}),
+        load.setup.committee, kShape, 6, validation);
+  };
+
+  const ChainVerifyResult good = verify(cut.suffix);
+  EXPECT_EQ(good.error, "");
+  EXPECT_EQ(good.suffix.size(), cut.suffix.size());
+
+  // Drop the block of a committed slot at or above the horizon.
+  const auto committed = std::find_if(
+      cut.data.decided.rbegin(), cut.data.decided.rend(), [&](const auto& d) {
+        return d.kind == SlotDecision::Kind::kCommit && d.block.round >= cut.data.horizon;
+      });
+  ASSERT_NE(committed, cut.data.decided.rend()) << "no committed slot above the horizon";
+  std::vector<BlockPtr> missing = cut.suffix;
+  std::erase_if(missing, [&](const BlockPtr& b) {
+    return b->digest() == committed->block.digest;
+  });
+  ASSERT_EQ(missing.size() + 1, cut.suffix.size());
+  EXPECT_NE(verify(missing).error, "");
+
+  // Carry a block from below the horizon.
+  ASSERT_GT(cut.data.horizon, 1u);
+  std::vector<BlockPtr> below = cut.suffix;
+  below.insert(below.begin(), load.builder.dag().slot(cut.data.horizon - 1, 0).front());
+  EXPECT_NE(verify(below).error, "");
 }
 
 }  // namespace

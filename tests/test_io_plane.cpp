@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "loopback_ports.h"
 #include "net/io_backend.h"
 #include "net/node_runtime.h"
 
@@ -252,16 +253,10 @@ TEST(WideCluster, FiftyValidatorsCommitWithAgreementUnderEachBackend) {
   constexpr ValidatorId kValidators = 50;
   for (const IoBackendKind kind : backends_under_test()) {
     auto setup = Committee::make_test(kValidators);
+    // Held by their probes until the nodes start (loopback_ports.h).
+    LoopbackPorts ports(kValidators);
     std::vector<NodeAddress> addresses(kValidators);
-    {
-      EventLoop probe_loop;
-      std::vector<std::unique_ptr<TcpListener>> probes;
-      for (ValidatorId i = 0; i < kValidators; ++i) {
-        probes.push_back(
-            std::make_unique<TcpListener>(probe_loop, 0, [](TcpConnectionPtr) {}));
-        addresses[i].port = probes.back()->port();
-      }
-    }
+    for (ValidatorId i = 0; i < kValidators; ++i) addresses[i].port = ports.port(i);
 
     // Co-located wide cluster on a small machine: share one verifier cache
     // (every block verifies once, not 50 times) and keep verification inline
@@ -288,7 +283,10 @@ TEST(WideCluster, FiftyValidatorsCommitWithAgreementUnderEachBackend) {
       });
     }
     const auto started = std::chrono::steady_clock::now();
-    for (auto& node : nodes) node->start();
+    for (auto& node : nodes) {
+      ports.release(node->id());
+      node->start();
+    }
     ASSERT_EQ(nodes[0]->io_backend_kind(), kind);
     TxBatch batch;
     batch.id = 7;

@@ -13,6 +13,9 @@
 #include <fstream>
 #include <mutex>
 
+#include "app/kv_command.h"
+#include "client/kv_batches.h"
+#include "loopback_ports.h"
 #include "net/node_runtime.h"
 #include "obs/flight_recorder.h"
 
@@ -270,6 +273,7 @@ class TcpClusterTest : public ::testing::Test {
     config.verify_threads = verify_threads_;
     config.validator.signature_cache = shared_cache_;
     config.validator.parallel_commit = parallel_commit_;
+    config.validator.execute_app = execute_app_;
     config.validator.wal_group_commit = wal_group_commit_;
     config.validator.egress_offload = egress_offload_;
     config.admin_port = admin_port_;
@@ -287,6 +291,8 @@ class TcpClusterTest : public ::testing::Test {
   TimeMicros min_round_delay_ = millis(5);
   // Off-loop commit evaluation (scan on the worker pool, apply on the loop).
   bool parallel_commit_ = false;
+  // Deterministic KV execution of committed batches (exec/).
+  bool execute_app_ = false;
   // Write-side offload knobs (egress offload is the production default).
   bool wal_group_commit_ = false;
   bool egress_offload_ = true;
@@ -299,24 +305,16 @@ class TcpClusterTest : public ::testing::Test {
   TimeMicros loop_stall_budget_ = millis(250);
   std::string flightrec_dir_;
 
-  // Builds a 4-node localhost cluster on ephemeral ports. The chosen
+  // Builds a 4-node localhost cluster on reserved loopback ports. The chosen
   // addresses stay in addresses_, so a node restarted later (make_node)
   // rejoins the same mesh instead of a freshly-probed one.
   std::vector<std::unique_ptr<NodeRuntime>> make_cluster(
       const std::vector<std::string>& wal_paths = {}) {
-    // Ports must be known upfront by every node, so pre-claim ephemeral
-    // ports via short-lived listeners.
+    // Ports must be known upfront by every node; each stays held by its
+    // probe until start() hands it to the node (loopback_ports.h).
+    ports_ = std::make_unique<LoopbackPorts>(4);
     addresses_.assign(4, {});
-    {
-      EventLoop probe_loop;
-      std::vector<std::unique_ptr<TcpListener>> probes;
-      for (int i = 0; i < 4; ++i) {
-        probes.push_back(
-            std::make_unique<TcpListener>(probe_loop, 0, [](TcpConnectionPtr) {}));
-        addresses_[i].port = probes.back()->port();
-      }
-      // Listeners close here; tiny race window is acceptable for tests.
-    }
+    for (int i = 0; i < 4; ++i) addresses_[i].port = ports_->port(i);
 
     std::vector<std::unique_ptr<NodeRuntime>> nodes;
     for (ValidatorId v = 0; v < 4; ++v) {
@@ -325,13 +323,20 @@ class TcpClusterTest : public ::testing::Test {
     return nodes;
   }
 
+  // Starts a node on its reserved port.
+  void start(NodeRuntime& node) {
+    ports_->release(node.id());
+    node.start();
+  }
+
   Committee::TestSetup setup_;
+  std::unique_ptr<LoopbackPorts> ports_;
   std::vector<NodeAddress> addresses_;
 };
 
 TEST_F(TcpClusterTest, FourNodesCommitTransactions) {
   auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  for (auto& node : nodes) start(*node);
 
   // Submit transactions to every node.
   for (ValidatorId v = 0; v < 4; ++v) {
@@ -375,7 +380,7 @@ TEST_F(TcpClusterTest, FourNodesCommitTransactions) {
 TEST_F(TcpClusterTest, AdminEndpointServesMetricsMidRun) {
   admin_port_ = 0;  // ephemeral admin listener on every node
   auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  for (auto& node : nodes) start(*node);
 
   // Every node published an admin port distinct from its consensus port.
   for (const auto& node : nodes) ASSERT_GT(node->admin_port(), 0);
@@ -448,7 +453,7 @@ TEST_F(TcpClusterTest, AdminEndpointServesMetricsMidRun) {
 TEST_F(TcpClusterTest, AdminIntrospectionStatusTracesAndFlightrec) {
   admin_port_ = 0;
   auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  for (auto& node : nodes) start(*node);
   for (ValidatorId v = 0; v < 4; ++v) {
     TxBatch batch;
     batch.id = 7200 + v;
@@ -518,7 +523,7 @@ TEST_F(TcpClusterTest, AdminIntrospectionStatusTracesAndFlightrec) {
 TEST_F(TcpClusterTest, AdminRejectsBadRequests) {
   admin_port_ = 0;
   auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  for (auto& node : nodes) start(*node);
   ASSERT_TRUE(wait_for([&] { return nodes[0]->admin_port() > 0; }));
   const int port = nodes[0]->admin_port();
 
@@ -552,7 +557,7 @@ TEST_F(TcpClusterTest, WatchdogStallAutoDumpsFlightRecorder) {
   std::filesystem::remove_all(flightrec_dir_);
   std::filesystem::create_directories(flightrec_dir_);
   auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  for (auto& node : nodes) start(*node);
   for (ValidatorId v = 0; v < 4; ++v) {
     TxBatch batch;
     batch.id = 7300 + v;
@@ -596,7 +601,7 @@ TEST_F(TcpClusterTest, SharedVerifierCacheSkipsRepeatVerification) {
   // workers hit the cache.
   shared_cache_ = std::make_shared<VerifierCache>();
   auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  for (auto& node : nodes) start(*node);
   TxBatch batch;
   batch.id = 77;
   batch.count = 10;
@@ -621,7 +626,7 @@ TEST_F(TcpClusterTest, InlineVerificationCommitsIdentically) {
   // must behave the same (the pipeline stages are placement-agnostic).
   verify_threads_ = 0;
   auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  for (auto& node : nodes) start(*node);
   TxBatch batch;
   batch.id = 55;
   batch.count = 20;
@@ -646,7 +651,7 @@ TEST_F(TcpClusterTest, LateStartingNodeJoinsViaAntiEntropy) {
   // The fourth starts late: its peers' broadcasts predate its sockets, so
   // everything must reach it through the periodic tip offers plus fetch.
   auto nodes = make_cluster();
-  for (ValidatorId v = 0; v < 3; ++v) nodes[v]->start();
+  for (ValidatorId v = 0; v < 3; ++v) start(*nodes[v]);
   TxBatch batch;
   batch.id = 3;
   batch.count = 30;
@@ -655,7 +660,7 @@ TEST_F(TcpClusterTest, LateStartingNodeJoinsViaAntiEntropy) {
 
   const Round rounds_before_join = nodes[0]->highest_round();
   EXPECT_GT(rounds_before_join, 4u);
-  nodes[3]->start();
+  start(*nodes[3]);
   // The late node reaches the cluster's round frontier and commits.
   EXPECT_TRUE(wait_for([&] {
     return nodes[3]->highest_round() >= rounds_before_join &&
@@ -674,7 +679,7 @@ TEST_F(TcpClusterTest, CommitSequencesAgreeAcrossNodes) {
       for (const auto& block : sub_dag.blocks) sequences[v].push_back(block->ref());
     });
   }
-  for (auto& node : nodes) node->start();
+  for (auto& node : nodes) start(*node);
   for (ValidatorId v = 0; v < 4; ++v) {
     TxBatch batch;
     batch.id = v;
@@ -716,7 +721,7 @@ TEST_F(TcpClusterTest, ParallelCommitClusterAgreesAndKeepsScanOffLoop) {
       for (const auto& block : sub_dag.blocks) sequences[v].push_back(block->ref());
     });
   }
-  for (auto& node : nodes) node->start();
+  for (auto& node : nodes) start(*node);
   for (ValidatorId v = 0; v < 4; ++v) {
     EXPECT_TRUE(nodes[v]->parallel_commit_active());
     TxBatch batch;
@@ -756,7 +761,7 @@ TEST_F(TcpClusterTest, EgressOffloadEncodesOffLoopAndCommits) {
   // pool into shared frames. The cluster must commit exactly as before, and
   // the encode counter proves the path was taken.
   auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  for (auto& node : nodes) start(*node);
   for (ValidatorId v = 0; v < 4; ++v) {
     EXPECT_TRUE(nodes[v]->egress_offload_active());
     TxBatch batch;
@@ -783,7 +788,7 @@ TEST_F(TcpClusterTest, InlineEgressCommitsIdentically) {
   // thread but still once per block, fanned out as shared frames.
   egress_offload_ = false;
   auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  for (auto& node : nodes) start(*node);
   TxBatch batch;
   batch.id = 44;
   batch.count = 20;
@@ -819,7 +824,7 @@ TEST_F(TcpClusterTest, GroupCommitWalClusterCommitsAndRestartsCleanly) {
   }
 
   auto nodes = make_cluster(wal_paths);
-  for (auto& node : nodes) node->start();
+  for (auto& node : nodes) start(*node);
   for (ValidatorId v = 0; v < 4; ++v) {
     EXPECT_TRUE(nodes[v]->wal_group_commit_active());
     TxBatch batch;
@@ -844,7 +849,7 @@ TEST_F(TcpClusterTest, GroupCommitWalClusterCommitsAndRestartsCleanly) {
   nodes[2]->stop();
   nodes[2].reset();
   nodes[2] = make_node(2, wal_paths[2]);
-  nodes[2]->start();
+  start(*nodes[2]);
   EXPECT_GE(nodes[2]->highest_round(), 1u);  // recovered history
 
   TxBatch more;
@@ -891,7 +896,7 @@ TEST_F(TcpClusterTest, CheckpointClusterLateJoinerCatchesUpViaSnapshot) {
   }
 
   auto nodes = make_cluster(wal_dirs);
-  for (ValidatorId v = 0; v < 3; ++v) nodes[v]->start();
+  for (ValidatorId v = 0; v < 3; ++v) start(*nodes[v]);
 
   // Keep load flowing so rounds (and the GC horizon) advance.
   std::uint64_t batch_id = 9000;
@@ -912,7 +917,7 @@ TEST_F(TcpClusterTest, CheckpointClusterLateJoinerCatchesUpViaSnapshot) {
   ASSERT_TRUE(nodes[0]->segmented_wal_active());
 
   // The late joiner starts from genesis, far below every peer's horizon.
-  nodes[3]->start();
+  start(*nodes[3]);
   EXPECT_TRUE(wait_for([&] {
     feed();
     return nodes[3]->snapshot_catchups() >= 1;
@@ -951,6 +956,75 @@ TEST_F(TcpClusterTest, CheckpointClusterLateJoinerCatchesUpViaSnapshot) {
   for (const auto& path : wal_dirs) std::filesystem::remove_all(path);
 }
 
+TEST_F(TcpClusterTest, CheckpointedRestartReplaysEveryCommitIntoExecution) {
+  // Recovery installs the newest cut, then replays the retained WAL
+  // segments; every slot past the cut's head commits during that replay and
+  // must reach the execution engine (inline commit: parallel_commit off). A
+  // restarted validator whose app state missed one would sign every later
+  // cut share over a different app digest: its peers would reject those
+  // shares, and no certificate would ever form on its own payload.
+  //
+  // The restarted validator joins late and catches up by fetching, so its
+  // commit passes decide many slots at once: the pass crossing a cut
+  // boundary also decides slots past it, which the cut (truncated back to
+  // the boundary) leaves for recovery to decide again.
+  gc_depth_ = 60;
+  checkpoint_interval_ = 5;
+  min_round_delay_ = millis(10);
+  execute_app_ = true;
+
+  const auto dir = std::filesystem::temp_directory_path();
+  std::vector<std::string> wal_dirs;
+  for (int i = 0; i < 4; ++i) {
+    auto path = dir / ("mahi_tcp_ckpt_exec_" + std::to_string(::getpid()) + "_" +
+                       std::to_string(i));
+    std::filesystem::remove_all(path);
+    wal_dirs.push_back(path.string());
+  }
+
+  auto nodes = make_cluster(wal_dirs);
+  for (ValidatorId v = 0; v < 3; ++v) start(*nodes[v]);
+  std::uint64_t batch_id = 0;
+  const auto feed = [&] {
+    for (ValidatorId v = 0; v < 3; ++v) {
+      ++batch_id;
+      nodes[v]->submit({client::make_kv_batch(
+          batch_id,
+          {app::KvCommand::put("k" + std::to_string(batch_id), std::to_string(v))})});
+    }
+  };
+  ASSERT_TRUE(wait_for([&] {
+    feed();
+    return nodes[0]->highest_round() > 40;
+  })) << "round " << nodes[0]->highest_round();
+
+  start(*nodes[3]);
+  ASSERT_TRUE(wait_for([&] {
+    feed();
+    return nodes[3]->checkpoints_written() > 0;
+  })) << "the late validator never cut";
+  nodes[3]->stop();
+  nodes[3].reset();
+  nodes[3] = make_node(3, wal_dirs[3]);
+  EXPECT_GE(nodes[3]->highest_round(), 1u) << "recovered history";
+  start(*nodes[3]);
+
+  // Certificates form on the restarted validator's own cut payloads: 2f+1
+  // validators signed its exact app digest.
+  EXPECT_TRUE(wait_for([&] {
+    feed();
+    return nodes[3]->checkpoint_certs() >= 3;
+  })) << "no certificate formed on the restarted validator's cuts ("
+      << nodes[3]->checkpoint_cert_shares_rejected() << " shares rejected there)";
+  for (const auto& node : nodes) {
+    EXPECT_EQ(node->checkpoint_cert_shares_rejected(), 0u)
+        << "v" << node->id() << " rejected a cut share: app digests diverged";
+  }
+
+  for (auto& node : nodes) node->stop();
+  for (const auto& path : wal_dirs) std::filesystem::remove_all(path);
+}
+
 TEST_F(TcpClusterTest, SurvivesNodeRestartWithWal) {
   const auto dir = std::filesystem::temp_directory_path();
   std::vector<std::string> wal_paths;
@@ -962,7 +1036,7 @@ TEST_F(TcpClusterTest, SurvivesNodeRestartWithWal) {
   }
 
   auto nodes = make_cluster(wal_paths);
-  for (auto& node : nodes) node->start();
+  for (auto& node : nodes) start(*node);
   TxBatch batch;
   batch.id = 7;
   batch.count = 40;
@@ -975,7 +1049,7 @@ TEST_F(TcpClusterTest, SurvivesNodeRestartWithWal) {
   nodes[3]->stop();
   nodes[3].reset();
   nodes[3] = make_node(3, wal_paths[3]);  // same mesh addresses, same WAL
-  nodes[3]->start();
+  start(*nodes[3]);
   EXPECT_GE(nodes[3]->highest_round(), 1u);  // recovered history
 
   TxBatch more;

@@ -234,13 +234,14 @@ TEST(SynchronizerCatchup, InstallAboveEveryHeldRoundIndexesTheSuffix) {
   }
   const CheckpointData data = ahead.capture_checkpoint();
   ASSERT_GT(data.horizon, 1u);
+  const std::vector<BlockPtr> suffix = checkpoint_suffix(ahead.dag(), data.horizon);
 
   ValidatorCore fresh(setup.committee, setup.keypairs[1].private_key, config);
-  fresh.install_checkpoint(data, 0);
+  fresh.install_checkpoint(data, suffix, 0);
   const Dag& dag = fresh.dag();
   EXPECT_EQ(dag.pruned_below(), data.horizon);
-  EXPECT_EQ(dag.block_count(), data.blocks.size());
-  for (const BlockPtr& block : data.blocks) {
+  EXPECT_EQ(dag.block_count(), suffix.size());
+  for (const BlockPtr& block : suffix) {
     EXPECT_TRUE(dag.contains(block->ref())) << block->ref().to_string();
   }
   EXPECT_FALSE(dag.contains(setup.committee.genesis()[0]->ref()));
