@@ -12,18 +12,6 @@ namespace {
 constexpr std::string_view kDecidedDomain = "mm-ckpt-decided-v1";
 constexpr std::string_view kCertDomain = "mm-ckpt-cert-v1";
 
-void write_slot(serde::Writer& w, SlotId slot) {
-  w.varint(slot.round);
-  w.u32(slot.leader_offset);
-}
-
-SlotId read_slot(serde::Reader& r) {
-  SlotId slot;
-  slot.round = r.varint();
-  slot.leader_offset = r.u32();
-  return slot;
-}
-
 BytesView domain_view(std::string_view domain) {
   return {reinterpret_cast<const std::uint8_t*>(domain.data()), domain.size()};
 }

@@ -27,6 +27,8 @@ namespace {
 constexpr std::uint32_t kCheckpointMagic = 0x4d4d4332;  // "MMC2"
 constexpr std::uint8_t kCheckpointVersion = 1;
 
+}  // namespace
+
 void write_slot(serde::Writer& w, SlotId slot) {
   w.varint(slot.round);
   w.u32(slot.leader_offset);
@@ -38,8 +40,6 @@ SlotId read_slot(serde::Reader& r) {
   slot.leader_offset = r.u32();
   return slot;
 }
-
-}  // namespace
 
 void write_decided_log(serde::Writer& w,
                        std::span<const CheckpointData::DecidedSlot> decided) {

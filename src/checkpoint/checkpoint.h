@@ -121,8 +121,11 @@ std::string verify_checkpoint(const CheckpointData& data,
                               const ValidationOptions& validation,
                               VerifierCache* cache = nullptr);
 
-// Record codec pieces shared by the base and delta encodings (delta.h).
-// Counts are bounded by the bytes present (serde::Reader::count).
+// Record codec pieces shared by the base, delta and certificate encodings
+// (delta.h, cert.h). Counts are bounded by the bytes present
+// (serde::Reader::count).
+void write_slot(serde::Writer& w, SlotId slot);
+SlotId read_slot(serde::Reader& r);
 void write_decided_log(serde::Writer& w,
                        std::span<const CheckpointData::DecidedSlot> decided);
 std::vector<CheckpointData::DecidedSlot> read_decided_log(serde::Reader& r);

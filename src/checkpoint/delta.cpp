@@ -17,18 +17,6 @@ namespace {
 constexpr std::uint32_t kDeltaMagic = 0x4d4d4432;  // "MMD2"
 constexpr std::uint8_t kDeltaVersion = 1;
 
-void write_slot(serde::Writer& w, SlotId slot) {
-  w.varint(slot.round);
-  w.u32(slot.leader_offset);
-}
-
-SlotId read_slot(serde::Reader& r) {
-  SlotId slot;
-  slot.round = r.varint();
-  slot.leader_offset = r.u32();
-  return slot;
-}
-
 }  // namespace
 
 Bytes encode_checkpoint_delta(const CheckpointDelta& delta) {

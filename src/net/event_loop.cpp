@@ -121,8 +121,10 @@ int EventLoop::next_timeout_ms() const {
 }
 
 void EventLoop::run() {
+  // stop_requested_ is not reset here: a stop() that lands before this
+  // thread reaches run() (NodeRuntime::stop right after start) must not be
+  // lost.
   running_.store(true);
-  stop_requested_.store(false);
   loop_thread_id_.store(std::this_thread::get_id(), std::memory_order_relaxed);
   epoll_event events[64];
   while (!stop_requested_.load(std::memory_order_relaxed)) {

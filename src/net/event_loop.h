@@ -63,7 +63,8 @@ class EventLoop {
   // the loop thread").
   bool in_loop_thread() const;
 
-  // Runs until stop() is called (from any thread).
+  // Runs until stop() is called (from any thread) — also when stop() came
+  // first, in which case run() returns at once. A loop runs once.
   void run();
   void stop();
 

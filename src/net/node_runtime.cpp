@@ -181,9 +181,9 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
       if (block->round() >= suffix_from) replayed_suffix.push_back(block);
       Actions actions = core_->recover_block(std::move(block));
       if (exec_engine_ != nullptr) {
-        // Replay commits apply serially inline (ISSUE contract: the recovery
-        // path never runs parallel waves) with no delivery callbacks — the
-        // original run already stamped these batches' finality.
+        // Replay commits apply serially inline (the recovery path never
+        // runs parallel waves) with no delivery callbacks — the original run
+        // already stamped these batches' finality.
         for (const auto& sub_dag : actions.committed) exec_engine_->replay(sub_dag);
       }
     };
@@ -972,39 +972,35 @@ void NodeRuntime::encode_pending_egress() {
   }
 }
 
-void NodeRuntime::perform(Actions&& actions) {
-  // The sans-IO core and everything here run exclusively on the loop
-  // thread; workers only decode/verify, scan commits, and encode egress.
-  assert(loop_.in_loop_thread());
-  const TimeMicros perform_now = steady_now_micros();
-  for (const auto& block : actions.inserted) {
+void NodeRuntime::log_inserted(const std::vector<BlockPtr>& inserted) {
+  const TimeMicros now = steady_now_micros();
+  for (const auto& block : inserted) {
     wal_->append_block(*block, block->author() == id());
     wal_logged_round_ = std::max(wal_logged_round_, block->round());
     // Insert stamp: opens the commit-wait span closed by sub_dag_committed.
-    tracer_.block_inserted(block->digest(), perform_now);
-    recorder_.record(obs::FlightEventType::kBlockInsert, perform_now,
+    tracer_.block_inserted(block->digest(), now);
+    recorder_.record(obs::FlightEventType::kBlockInsert, now,
                      block->author(), block->round());
     // Forensics arrival stamp: commit traces attribute wave closure to the
     // latest of these per sub-DAG.
-    forensics_.block_arrived(block->digest(), perform_now);
+    forensics_.block_arrived(block->digest(), now);
   }
-  if (!actions.inserted.empty()) {
+  if (!inserted.empty()) {
     // Inline WAL: make the batch durable now, exactly as before. Group
     // commit skips this — records ride the writer's interval/budget flushes,
-    // and the only send that must wait for durability (the own-proposal
-    // broadcast below) is gated on the ack instead.
+    // and the only send that must wait for durability (perform's
+    // own-proposal broadcast) is gated on the ack instead.
     if (group_wal_ == nullptr) {
       wal_->sync();
       // The whole batch became durable together: each block waited the full
       // sync duration.
-      tracer_.record_stage(obs::Stage::kWalDurable, steady_now_micros() - perform_now,
-                           actions.inserted.size());
-      recorder_.record_now(obs::FlightEventType::kWalFlush, actions.inserted.size());
+      tracer_.record_stage(obs::Stage::kWalDurable, steady_now_micros() - now,
+                           inserted.size());
+      recorder_.record_now(obs::FlightEventType::kWalFlush, inserted.size());
     } else {
       // Group path: the span closes when the writer's durability ack posts
       // back to the loop thread.
-      wal_->on_durable([this, appended_at = perform_now,
-                        count = actions.inserted.size()] {
+      wal_->on_durable([this, appended_at = now, count = inserted.size()] {
         tracer_.record_stage(obs::Stage::kWalDurable,
                              steady_now_micros() - appended_at, count);
         recorder_.record_now(obs::FlightEventType::kWalFlush, count);
@@ -1013,8 +1009,15 @@ void NodeRuntime::perform(Actions&& actions) {
     // Parallel commit: the insertion stream feeds the worker-side replica;
     // the scan it triggers posts decisions back through
     // apply_commit_decisions.
-    if (commit_scanner_ != nullptr) enqueue_commit_blocks(actions.inserted);
+    if (commit_scanner_ != nullptr) enqueue_commit_blocks(inserted);
   }
+}
+
+void NodeRuntime::perform(Actions&& actions) {
+  // The sans-IO core and everything here run exclusively on the loop
+  // thread; workers only decode/verify, scan commits, and encode egress.
+  assert(loop_.in_loop_thread());
+  log_inserted(actions.inserted);
 
   if (!actions.broadcast.empty()) {
     // Non-equivocation rests on never broadcasting an own block that a
@@ -1644,10 +1647,11 @@ void NodeRuntime::install_peer_checkpoint(CheckpointData data,
   }
   // The record carries no blocks, so it becomes our recovery point only once
   // the installed suffix is durable in our WAL: log it, sync, persist — all
-  // before the install's commits go out.
-  Actions logged;
-  logged.inserted = std::move(actions.inserted);
-  perform(std::move(logged));
+  // before the install's commits go out. Not through perform(): that would
+  // cross the next cut boundary before the commits below the boundary that
+  // the install decided reach execution.
+  log_inserted(actions.inserted);
+  actions.inserted.clear();
   if (checkpoint_store_ != nullptr) {
     wal_->sync();
     try {

@@ -365,6 +365,10 @@ class NodeRuntime {
   void on_peer_frame(ValidatorId peer, BytesView frame);
   void on_unidentified_connection(TcpConnectionPtr connection);
   void perform(Actions&& actions);
+  // perform()'s first step: logs the inserted blocks to the WAL (durable
+  // now, or on the group writer's ack), stamps their arrival, and feeds the
+  // commit scanner.
+  void log_inserted(const std::vector<BlockPtr>& inserted);
   // Queues a block frame for the verify workers (schedules a drain when
   // none is pending) — called on the loop thread.
   void enqueue_block_frame(ValidatorId peer, Bytes payload);

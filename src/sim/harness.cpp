@@ -838,9 +838,9 @@ struct SimHarness::Impl {
           }
         }
       }
-      // Replayed commits reach the state machine serially inline (the
-      // ISSUE contract: recovery never runs parallel waves) with no
-      // delivery stamps — the pre-crash run already stamped them.
+      // Replayed commits reach the state machine serially inline (recovery
+      // never runs parallel waves) with no delivery stamps — the pre-crash
+      // run already stamped them.
       if (config.execute_app && execs[v] != nullptr) {
         for (const auto& sub : actions.committed) {
           execs[v]->log.push_back(sub);

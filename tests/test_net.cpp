@@ -158,6 +158,21 @@ TEST(EventLoop, PostedTasksRunOnLoopThread) {
   runner.join();
 }
 
+TEST(EventLoop, StopBeforeRunIsNotLost) {
+  // A node stopped right after start() can call stop() before its loop
+  // thread has entered run(); run() must still return.
+  EventLoop loop;
+  loop.stop();
+  std::atomic<bool> returned{false};
+  std::thread runner([&] {
+    loop.run();
+    returned = true;
+  });
+  EXPECT_TRUE(wait_for([&] { return returned.load(); }, 2000ms));
+  loop.stop();  // releases a run() that lost the first stop
+  runner.join();
+}
+
 TEST(EventLoop, TimersFireInOrder) {
   EventLoop loop;
   std::thread runner([&] { loop.run(); });
@@ -1015,6 +1030,62 @@ TEST_F(TcpClusterTest, CheckpointedRestartReplaysEveryCommitIntoExecution) {
     feed();
     return nodes[3]->checkpoint_certs() >= 3;
   })) << "no certificate formed on the restarted validator's cuts ("
+      << nodes[3]->checkpoint_cert_shares_rejected() << " shares rejected there)";
+  for (const auto& node : nodes) {
+    EXPECT_EQ(node->checkpoint_cert_shares_rejected(), 0u)
+        << "v" << node->id() << " rejected a cut share: app digests diverged";
+  }
+
+  for (auto& node : nodes) node->stop();
+  for (const auto& path : wal_dirs) std::filesystem::remove_all(path);
+}
+
+TEST_F(TcpClusterTest, SnapshotInstallExecutesItsCommitsBeforeTheNextCut) {
+  // A late joiner below every peer's horizon installs a served chain whose
+  // suffix decides slots past the installed head, usually past the next cut
+  // boundary too. Those commits must reach execution before that boundary
+  // is crossed, or the joiner signs its cut over a stale app digest: its
+  // peers reject the share and no certificate forms on its payload.
+  gc_depth_ = 20;
+  checkpoint_interval_ = 5;
+  min_round_delay_ = millis(10);
+  execute_app_ = true;
+
+  const auto dir = std::filesystem::temp_directory_path();
+  std::vector<std::string> wal_dirs;
+  for (int i = 0; i < 4; ++i) {
+    auto path = dir / ("mahi_tcp_ckpt_install_" + std::to_string(::getpid()) + "_" +
+                       std::to_string(i));
+    std::filesystem::remove_all(path);
+    wal_dirs.push_back(path.string());
+  }
+
+  auto nodes = make_cluster(wal_dirs);
+  for (ValidatorId v = 0; v < 3; ++v) start(*nodes[v]);
+  std::uint64_t batch_id = 0;
+  const auto feed = [&] {
+    for (ValidatorId v = 0; v < 3; ++v) {
+      ++batch_id;
+      nodes[v]->submit({client::make_kv_batch(
+          batch_id,
+          {app::KvCommand::put("k" + std::to_string(batch_id), std::to_string(v))})});
+    }
+  };
+  ASSERT_TRUE(wait_for([&] {
+    feed();
+    return nodes[0]->highest_round() > 2 * gc_depth_ + 10 &&
+           nodes[0]->checkpoint_certs() > 0;
+  })) << "round " << nodes[0]->highest_round();
+
+  start(*nodes[3]);
+  ASSERT_TRUE(wait_for([&] {
+    feed();
+    return nodes[3]->snapshot_catchups() >= 1;
+  })) << "the snapshot handshake never completed";
+  EXPECT_TRUE(wait_for([&] {
+    feed();
+    return nodes[3]->checkpoint_certs() >= 3;
+  })) << "no certificate formed on the joiner's cuts ("
       << nodes[3]->checkpoint_cert_shares_rejected() << " shares rejected there)";
   for (const auto& node : nodes) {
     EXPECT_EQ(node->checkpoint_cert_shares_rejected(), 0u)
